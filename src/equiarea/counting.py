@@ -18,16 +18,17 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .geometry import (
-    DuplicatePoints,
     GeometryError,
     InvariantViolation,
     Point,
+    check_distinct,
     find_shear,
+    integer_points,
     shear,
     signed_area2,
 )
 from .incidence import incidence_stats
-from .matching import count_matching_pairs, top_lines
+from .matching import count_matching_pairs
 from . import incidence as _incidence
 
 
@@ -46,28 +47,14 @@ def _check_area(area: Fraction | int) -> Fraction:
     return area
 
 
-def _check_distinct(points: Sequence[Point]) -> None:
-    if len(set(points)) != len(points):
-        raise DuplicatePoints("point set has repeats")
-
-
-def _coords(points: Sequence[Point]) -> list[tuple]:
-    """Plain coordinate tuples; collapses to machine-friendly ints when exact."""
-    out = []
-    for p in points:
-        x = int(p.x) if p.x.denominator == 1 else p.x
-        y = int(p.y) if p.y.denominator == 1 else p.y
-        out.append((x, y))
-    return out
-
-
 def count_brute(points: Sequence[Point], area: Fraction | int) -> int:
     """Reference oracle: test all triples for |signed area| equal to the target."""
     area = _check_area(area)
-    _check_distinct(points)
+    check_distinct(points)
     target = 2 * area
     neg = -target
-    pts = _coords(points)
+    # Read without integer_points, so that this oracle shares no code with the kernel.
+    pts = [tuple(int(c) if c.denominator == 1 else c for c in (p.x, p.y)) for p in points]
     count = 0
     for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
         cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -76,17 +63,31 @@ def count_brute(points: Sequence[Point], area: Fraction | int) -> int:
     return count
 
 
-def _primitive_direction(dx, dy) -> tuple[int, int]:
-    """Primitive integer direction of a rational vector, sign-normalized."""
-    if not isinstance(dx, int) or not isinstance(dy, int):
-        dx, dy = Fraction(dx), Fraction(dy)
-        den = math.lcm(dx.denominator, dy.denominator)
-        dx, dy = int(dx * den), int(dy * den)
-    g = math.gcd(dx, dy)
-    p, q = dx // g, dy // g
-    if p < 0 or (p == 0 and q < 0):
-        p, q = -p, -q
-    return p, q
+def _bases_by_direction(pts, area: Fraction, scale: int, with_indices: bool = False) -> dict:
+    """Base pairs by primitive direction (p, q), as (value, offset) or (i, j, value, offset).
+
+    This is `incidence.pair_lines` inlined, being count_pairline's hot loop.
+    A base of step g*(p, q) and key value p*y - q*x spans area A with every
+    point whose value differs by offset = 2*A*scale^2 / g. Values are
+    integers, so a base whose offset is not is dropped.
+    """
+    twice = 2 * area * scale * scale
+    t_num, t_den = twice.numerator, twice.denominator
+    gcd = math.gcd
+    by_direction: dict[tuple[int, int], list] = {}
+    for i, (ax, ay) in enumerate(pts):
+        for j, (bx, by) in enumerate(pts[i + 1 :], i + 1):
+            dx, dy = bx - ax, by - ay
+            g = gcd(dx, dy)
+            offset, rem = divmod(t_num, t_den * g)
+            if rem:
+                continue
+            p, q = dx // g, dy // g
+            value = p * ay - q * ax
+            by_direction.setdefault((p, q), []).append(
+                (i, j, value, offset) if with_indices else (value, offset)
+            )
+    return by_direction
 
 
 def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
@@ -96,39 +97,18 @@ def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
     to the base at the matching area offset. Within a parallel pencil the line
     through a point is keyed by the linear functional p*y - q*x of the
     primitive direction (p, q), so each lookup is a hash probe that also
-    catches lines holding just that one point. Integer inputs run entirely in
-    integer arithmetic; a pair whose offset cannot be integral is skipped
-    outright since every pencil key is an integer.
+    catches lines holding just that one point. All of it is integer arithmetic.
     """
     area = _check_area(area)
-    _check_distinct(points)
-    pts = _coords(points)
-    twice = 2 * area
-    by_direction: dict[tuple[int, int], list[tuple]] = {}
-    if all(isinstance(x, int) and isinstance(y, int) for x, y in pts):
-        t_num, t_den = twice.numerator, twice.denominator
-        for (ax, ay), (bx, by) in combinations(pts, 2):
-            dx, dy = bx - ax, by - ay
-            g = math.gcd(dx, dy)
-            p, q = dx // g, dy // g
-            if p < 0 or (p == 0 and q < 0):
-                p, q = -p, -q
-            offset, rem = divmod(t_num, t_den * g)
-            if rem:
-                continue
-            by_direction.setdefault((p, q), []).append((p * ay - q * ax, offset))
-    else:
-        for (ax, ay), (bx, by) in combinations(pts, 2):
-            dx, dy = bx - ax, by - ay
-            p, q = _primitive_direction(dx, dy)
-            scale = Fraction(dx, p) if p != 0 else Fraction(dy, q)
-            by_direction.setdefault((p, q), []).append((p * ay - q * ax, twice / scale))
+    pts, _, scale = integer_points(points)
+    by_direction = _bases_by_direction(pts, area, scale)
     total = 0
     for (p, q), entries in by_direction.items():
         pencil = Counter(p * y - q * x for x, y in pts)
-        for base_value, offset in entries:
-            total += pencil[base_value + offset] + pencil[base_value - offset]
-    assert total % 3 == 0, "each triangle must be found once per side"
+        for value, offset in entries:
+            total += pencil[value + offset] + pencil[value - offset]
+    if total % 3:
+        raise InvariantViolation("each triangle must be found once per side")
     return total // 3
 
 
@@ -144,8 +124,7 @@ def mode_area(points: Sequence[Point]) -> tuple[Fraction, int]:
     """
     if len(points) > MODE_AREA_SIZE_LIMIT:
         raise ValueError(f"mode_area is capped at n = {MODE_AREA_SIZE_LIMIT}")
-    _check_distinct(points)
-    pts = _coords(points)
+    pts, _, scale = integer_points(points)
     tallies: Counter = Counter()
     for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
         cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -154,7 +133,7 @@ def mode_area(points: Sequence[Point]) -> tuple[Fraction, int]:
     if not tallies:
         raise ZeroArea("the set spans no triangles")
     best = max(tallies.items(), key=lambda kv: (kv[1], -kv[0]))
-    return Fraction(best[0]) / 2, best[1]
+    return Fraction(best[0], 2 * scale * scale), best[1]
 
 
 def fixed_area_triangles(
@@ -162,13 +141,9 @@ def fixed_area_triangles(
 ) -> list[tuple[Point, Point, Point]]:
     """All unordered triples spanning the given area (brute enumeration)."""
     area = _check_area(area)
-    _check_distinct(points)
+    check_distinct(points)
     target = 2 * area
-    out = []
-    for tri in combinations(points, 3):
-        if abs(signed_area2(*tri)) == target:
-            out.append(tri)
-    return out
+    return [tri for tri in combinations(points, 3) if abs(signed_area2(*tri)) == target]
 
 
 @dataclass(frozen=True)
@@ -190,6 +165,11 @@ def tally_by_richness(
 ) -> RichnessTally:
     """Classify every area-A triangle by its number of k-rich top lines.
 
+    Runs count_pairline's pencil enumeration, in O(n^2 + T) for T triangles:
+    a third vertex r found over a base sits in the pencil bucket of r's top
+    line over that base, so the bucket holds that line's members. Each
+    triangle is met once per side, which yields all three of its top lines.
+
     Also enforces the assignment bound behind the poor-triangle count: a base
     pair can own at most 2*(k-1) triangles whose top line over that base is
     poor, because each of the two candidate parallel lines then holds at most
@@ -197,28 +177,27 @@ def tally_by_richness(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    member_counts = _incidence._line_member_counts(points)
-    buckets = [0, 0, 0, 0]
-    poor_per_base: Counter = Counter()
-    for tri in fixed_area_triangles(points, area):
-        lines = top_lines(tri)
-        rich = 0
-        for vertex_index, line in enumerate(lines):
-            # A line absent from the table holds at most one point.
-            members = member_counts.get(line, 1)
-            if members >= k:
-                rich += 1
-            else:
-                base = tuple(sorted(v for j, v in enumerate(tri) if j != vertex_index))
-                poor_per_base[base] += 1
-        buckets[rich] += 1
+    area = _check_area(area)
+    pts, originals, scale = integer_points(points)
     limit = 2 * (k - 1)
-    for base, assigned in poor_per_base.items():
-        if assigned > limit:
-            raise InvariantViolation(
-                f"base {base} was assigned {assigned} poor triangles (limit {limit})"
-            )
-    return RichnessTally(*buckets)
+    rich_top_lines: dict[tuple[int, int, int], int] = {}
+    for (p, q), bases in _bases_by_direction(pts, area, scale, True).items():
+        pencil: dict[int, list[int]] = {}
+        for r, (x, y) in enumerate(pts):
+            pencil.setdefault(p * y - q * x, []).append(r)
+        for i, j, value, offset in bases:
+            poor = 0
+            for line in (pencil.get(value + offset, ()), pencil.get(value - offset, ())):
+                rich = len(line) >= k
+                poor += 0 if rich else len(line)
+                for r in line:
+                    triangle = (i, j, r) if r > j else (i, r, j) if r > i else (r, i, j)
+                    rich_top_lines[triangle] = rich_top_lines.get(triangle, 0) + rich
+            if poor > limit:
+                base = (originals[i], originals[j])
+                raise InvariantViolation(f"base {base} was assigned {poor} poor triangles (limit {limit})")
+    buckets = Counter(rich_top_lines.values())
+    return RichnessTally(*(buckets[rich] for rich in range(4)))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import mpmath
 
 from .geometry import (
     GeometryError,
+    InvariantViolation,
     Line,
     ParallelLines,
     Point,
@@ -199,9 +200,14 @@ class BivariateCubic:
 
     @classmethod
     def from_coefficient_list(cls, entries: Sequence[Sequence]) -> "BivariateCubic":
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError(f"coefficients must be a list of [i, j, value] entries, not {entries!r}")
         coeffs: dict[tuple[int, int], Fraction] = {}
         for entry in entries:
-            i, j, val = int(entry[0]), int(entry[1]), Fraction(str(entry[2]))
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and all(isinstance(e, int) for e in entry[:2])):
+                raise ValueError(f"coefficient entry {entry!r} is not [i, j, value] with integers i, j")
+            i, j, val = entry[0], entry[1], Fraction(str(entry[2]))
             if i < 0 or j < 0 or i + j > 3:
                 raise ValueError(f"monomial x^{i} y^{j} out of range")
             coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + val
@@ -324,7 +330,8 @@ def leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
         divisor = UnivariatePoly([-root, 1])
         for _ in range(mult):
             work, rem = work.divmod(divisor)
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise InvariantViolation(f"root {root} of the leading form left a remainder")
     remainder: BivariatePoly | None = None
     product = BivariatePoly.constant(1)
     for line, mult in factors:
@@ -339,7 +346,8 @@ def leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
         product = product * remainder
     key = next(iter(product.coeffs))
     scale = top.coeff(*key) / product.coeff(*key)
-    assert product.scale(scale) == top
+    if product.scale(scale) != top:
+        raise InvariantViolation("leading-form factors do not multiply back to the leading form")
     factors.sort()
     return LeadingFormFactors(scale, tuple(factors), remainder)
 
@@ -353,10 +361,12 @@ def _simple_asymptote(fpoly: BivariatePoly, direction: Line) -> Line:
     d = fpoly.total_degree()
     top = fpoly.homogeneous_part(d)
     q, rem = top.divide_by_linear(direction.A, direction.B, 0)
-    assert rem.is_zero()
+    if not rem.is_zero():
+        raise InvariantViolation(f"{direction} does not divide the leading form")
     dx, dy = Fraction(direction.B), Fraction(-direction.A)
     qd = q.evaluate(dx, dy)
-    assert qd != 0, "offset formula needs a simple factor"
+    if qd == 0:
+        raise NonSimpleFactorUnsupported("offset formula needs a simple factor")
     c = fpoly.homogeneous_part(d - 1).evaluate(dx, dy) / qd
     return Line(direction.A, direction.B, c)
 

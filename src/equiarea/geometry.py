@@ -171,6 +171,29 @@ def shear(points: Sequence[Point], t: Fraction) -> list[Point]:
     return [Point(p.x + t * p.y, p.y) for p in points]
 
 
+def check_distinct(points: Sequence) -> None:
+    if len(set(points)) != len(points):
+        raise DuplicatePoints("point set has repeats")
+
+
+def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, int]], list[Point], int]:
+    """Clear denominators once: the points scaled to integer pairs, and L.
+
+    L is the lcm of every coordinate denominator, so (L*x, L*y) is an integer
+    pair. Scaling by L multiplies every signed area by L^2 and keeps
+    collinearity and the lexicographic order. The pairs come back sorted, with
+    the caller's points in the same order; repeats raise DuplicatePoints.
+    """
+    scale = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+    keyed = sorted(
+        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator), p)
+        for p in points
+    )
+    pts = [(x, y) for x, y, _ in keyed]
+    check_distinct(pts)
+    return pts, [p for _, _, p in keyed], scale
+
+
 def _has_vertical_spanned_line(points: Sequence[Point]) -> bool:
     # Two distinct points span a vertical line iff they share an x coordinate.
     seen: set[Fraction] = set()
@@ -191,8 +214,7 @@ def find_shear(points: Sequence[Point]) -> Fraction:
     pts = list(points)
     if len(pts) < 2:
         raise GeometryError("need at least two points")
-    if len(set(pts)) != len(pts):
-        raise DuplicatePoints("point set has repeats")
+    check_distinct(pts)
     if not _has_vertical_spanned_line(pts):
         return Fraction(0)
     j = 1

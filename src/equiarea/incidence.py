@@ -1,21 +1,18 @@
-"""Spanned lines, k-rich lines, their incidence pairs, and summary statistics."""
+"""Spanned lines, k-rich lines, their incidence pairs, and summary statistics.
+
+All of it runs on the integer line kernel `pair_lines`; canonical `Line`s are
+built only for the lines that are returned.
+"""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .geometry import (
-    DuplicatePoints,
-    GeometryError,
-    InvariantViolation,
-    Line,
-    Point,
-    line_through,
-)
+from .geometry import GeometryError, InvariantViolation, Line, Point, integer_points
 from .matching import IncidencePairParam, to_param
 
 
@@ -31,29 +28,67 @@ class SpannedLine:
     members: tuple[Point, ...]
 
 
-def _check_distinct(points: Sequence[Point]) -> None:
-    if len(set(points)) != len(points):
-        raise DuplicatePoints("point set has repeats")
+def pair_lines(pts: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
+    """The integer line kernel: (i, j, key) for every index pair i < j.
+
+    `pts` holds distinct integer points in lexicographic order (as returned by
+    `integer_points`), so the step from point i to point j, divided by its
+    gcd, is the sign-normalised primitive direction (p, q). The functional
+    p*y - q*x is constant along (p, q), so key = (p, q, p*y - q*x) names the
+    line through both points.
+    """
+    gcd = math.gcd
+    for i, (ax, ay) in enumerate(pts):
+        for j, (bx, by) in enumerate(pts[i + 1 :], i + 1):
+            dx, dy = bx - ax, by - ay
+            g = gcd(dx, dy)
+            p, q = dx // g, dy // g
+            yield i, j, (p, q, p * ay - q * ax)
+
+
+def key_line(key: tuple[int, int, int], scale: int) -> Line:
+    """The canonical Line of a key: p*Y - q*X = c with (X, Y) = scale*(x, y)."""
+    p, q, c = key
+    return Line(-q * scale, p * scale, -c)
+
+
+def members_from_pairs(pairs: int) -> int:
+    """The m with C(m, 2) = pairs: a line with m members holds that many pairs."""
+    m = (1 + math.isqrt(1 + 8 * pairs)) // 2
+    if m * (m - 1) // 2 != pairs:
+        raise InvariantViolation(f"{pairs} point pairs on one line is not a triangular number")
+    return m
+
+
+def _lines_with_members(points: Sequence[Point], k: int) -> list[SpannedLine]:
+    pts, originals, scale = integer_points(points)
+    # Pairs reach a line in lexicographic order, so its first pair (i, j)
+    # holds its two least members and every later member arrives with i.
+    table: dict[tuple[int, int, int], list[int]] = {}
+    for i, j, key in pair_lines(pts):
+        members = table.get(key)
+        if members is None:
+            table[key] = [i, j]
+        elif members[0] == i:
+            members.append(j)
+    lines = [
+        SpannedLine(key_line(key, scale), tuple(originals[i] for i in members))
+        for key, members in table.items()
+        if len(members) >= k
+    ]
+    return sorted(lines, key=lambda sl: sl.line)
 
 
 def spanned_lines(points: Sequence[Point]) -> list[SpannedLine]:
-    """Every line through >= 2 points, found by keying all pairs on canonical form."""
-    _check_distinct(points)
-    table: dict[Line, set[Point]] = {}
-    for p, q in combinations(points, 2):
-        line = line_through(p, q)
-        table.setdefault(line, set()).update((p, q))
-    return [
-        SpannedLine(line, tuple(sorted(members)))
-        for line, members in sorted(table.items(), key=lambda kv: kv[0])
-    ]
+    """Every line through >= 2 points, sorted by canonical form."""
+    return _lines_with_members(points, 2)
 
 
 def rich_lines(points: Sequence[Point], k: int) -> list[SpannedLine]:
     """Spanned lines holding at least k points."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    return [sl for sl in spanned_lines(points) if len(sl.members) >= k]
+    return _lines_with_members(points, k)
 
 
 def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]:
@@ -79,41 +114,26 @@ class IncidenceStats:
     ratio_N: Fraction
 
 
-def _line_member_counts(points: Sequence[Point]) -> dict[Line, int]:
-    """Member count per spanned line without materializing member sets.
-
-    A line with m members appears in exactly m*(m-1)/2 point pairs, so the
-    member count is recovered from the pair count per canonical line.
-    """
-    pair_counts: dict[Line, int] = {}
-    for p, q in combinations(points, 2):
-        line = line_through(p, q)
-        pair_counts[line] = pair_counts.get(line, 0) + 1
-    out = {}
-    for line, pc in pair_counts.items():
-        m = (1 + math.isqrt(1 + 8 * pc)) // 2
-        assert m * (m - 1) // 2 == pc
-        out[line] = m
-    return out
-
-
 def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
     """Rich-line count m, incidence count N, and their scaling ratios.
 
+    Both come from the point pairs per line key, grouped by that pair count.
     Hard-asserts only the provable pair-packing bound m * C(k,2) <= C(n,2);
     the two ratios are reported for trend inspection, never asserted.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    _check_distinct(points)
-    n = len(points)
-    counts = _line_member_counts(points)
-    m = sum(1 for c in counts.values() if c >= k)
-    big_n = sum(c for c in counts.values() if c >= k)
+    pts, _, _ = integer_points(points)
+    n = len(pts)
+    lines_per_pair_count = Counter(Counter(key for _, _, key in pair_lines(pts)).values())
+    m = big_n = 0
+    for pairs, lines in lines_per_pair_count.items():
+        members = members_from_pairs(pairs)
+        if members >= k:
+            m += lines
+            big_n += members * lines
     if m * math.comb(k, 2) > math.comb(n, 2):
-        raise InvariantViolation(
-            f"rich-line bound failed: m={m}, k={k}, n={n}"
-        )
+        raise InvariantViolation(f"rich-line bound failed: m={m}, k={k}, n={n}")
     if big_n < m * k:
         raise InvariantViolation(f"incidence count {big_n} below m*k = {m * k}")
     denom = n * n

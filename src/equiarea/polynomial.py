@@ -18,6 +18,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .geometry import InvariantViolation
+
 
 class UnivariatePoly:
     """Dense univariate polynomial with Fraction coefficients, low degree first."""
@@ -137,7 +139,8 @@ def squarefree_part(p: UnivariatePoly) -> UnivariatePoly:
     if g.degree <= 0:
         return p.primitive()
     q, r = p.divmod(g)
-    assert r.is_zero()
+    if not r.is_zero():
+        raise InvariantViolation("gcd with the derivative does not divide the polynomial")
     return q.primitive()
 
 
@@ -223,7 +226,8 @@ def rational_roots(p: UnivariatePoly) -> list[Fraction]:
         if hit is not None:
             roots.add(hit)
             sf, rem = sf.divmod(UnivariatePoly([-hit, 1]))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise InvariantViolation(f"root {hit} left a remainder")
             sf = sf.primitive()
             continue
         lead = abs(int(sf.coeffs[-1]))

@@ -165,6 +165,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "0.5")
         assert code == 2 and "rational" in err
 
+    @pytest.mark.parametrize("document", ['{"coefficients": [[3, 0]]}', '{"coefficients": 5}'])
+    def test_malformed_curve_document_exits_two(self, capsys, tmp_path, document):
+        path = tmp_path / "curve.json"
+        path.write_text(document)
+        code, out, err = run(capsys, "reconstruct", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--nope"])

@@ -1,0 +1,166 @@
+"""The integer line kernel against independent slow oracles.
+
+Each fast path is compared on property-generated inputs with a path that
+shares none of its code: `count_brute` for `count_pairline`, a
+`line_through`/Fraction member count for the integer line keys, and the
+O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
+`tally_by_richness`. The input families are rational coordinates with mixed
+denominators, coordinates above 2^64, sets with vertical lines, and
+collinear-heavy sets. Examples are derandomized, so every run draws the same
+inputs.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from equiarea.counting import (
+    RichnessTally,
+    count_brute,
+    count_pairline,
+    fixed_area_triangles,
+    tally_by_richness,
+)
+from equiarea.geometry import InvariantViolation, Line, Point, integer_points, line_through, shear, signed_area2
+from equiarea.incidence import incidence_stats, key_line, members_from_pairs, pair_lines, spanned_lines
+from equiarea.matching import top_lines
+
+ORACLES = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+BIG = 2**64 + 12345
+
+
+def _distinct_points(coords):
+    return st.lists(coords, min_size=3, max_size=11, unique=True).map(
+        lambda raw: [Point(x, y) for x, y in raw]
+    )
+
+
+_small = st.integers(-6, 6)
+_fraction = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6)))
+
+RATIONAL = _distinct_points(st.tuples(_fraction, _fraction))
+# Integer sets pushed above 2^64 by an area-preserving map: a large shear
+# and a large translation.
+HUGE = _distinct_points(st.tuples(_small, _small)).map(
+    lambda pts: [Point(p.x + BIG * p.y + BIG**2, p.y - 3 * BIG) for p in pts]
+)
+VERTICAL = _distinct_points(st.tuples(st.integers(0, 2), st.integers(-8, 8)))
+# Points on three parallel rows, sheared so the rows are sloped lines.
+COLLINEAR = st.tuples(
+    _distinct_points(st.tuples(st.integers(-7, 7), st.integers(0, 2))),
+    st.sampled_from((F(0), F(1), F(-2), F(1, 3))),
+).map(lambda drawn: shear(*drawn))
+
+FAMILIES = {"rational": RATIONAL, "huge": HUGE, "vertical": VERTICAL, "collinear": COLLINEAR}
+AREAS = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 3), F(5, 6), F(1, 12)))
+
+
+def _areas_to_check(points, drawn):
+    """The drawn area plus the area of one spanned triangle, so counts are not all zero."""
+    areas = {drawn}
+    for tri in combinations(points, 3):
+        twice = abs(signed_area2(*tri))
+        if twice:
+            areas.add(twice / 2)
+            break
+    return areas
+
+
+def oracle_member_counts(points):
+    """Member count per spanned line, from Fraction lines through every pair."""
+    pair_counts = Counter(line_through(p, q) for p, q in combinations(points, 2))
+    out = {}
+    for line, pairs in pair_counts.items():
+        m = (1 + math.isqrt(1 + 8 * pairs)) // 2
+        if m * (m - 1) // 2 != pairs:
+            raise AssertionError(f"{pairs} pairs on {line}")
+        out[line] = m
+    return out
+
+
+def oracle_tally(points, k, area):
+    """The O(n^3) richness tally: brute enumeration, top lines, member lookups."""
+    member_counts = oracle_member_counts(points)
+    buckets = [0, 0, 0, 0]
+    poor_per_base = Counter()
+    for tri in fixed_area_triangles(points, area):
+        rich = 0
+        for vertex_index, line in enumerate(top_lines(tri)):
+            # A line absent from the table holds one point, the vertex.
+            if member_counts.get(line, 1) >= k:
+                rich += 1
+            else:
+                poor_per_base[tuple(sorted(v for j, v in enumerate(tri) if j != vertex_index))] += 1
+        buckets[rich] += 1
+    assert all(assigned <= 2 * (k - 1) for assigned in poor_per_base.values())
+    return RichnessTally(*buckets)
+
+
+def kernel_member_counts(points):
+    pts, _, scale = integer_points(points)
+    pair_counts = Counter(key for _, _, key in pair_lines(pts))
+    return {key_line(key, scale): members_from_pairs(pairs) for key, pairs in pair_counts.items()}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestAgainstOracles:
+    def test_pairline_equals_brute(self, family):
+        @ORACLES
+        @given(FAMILIES[family], AREAS)
+        def check(points, drawn):
+            for area in _areas_to_check(points, drawn):
+                assert count_pairline(points, area) == count_brute(points, area)
+
+        check()
+
+    def test_member_counts_equal_fraction_lines(self, family):
+        @ORACLES
+        @given(FAMILIES[family], st.integers(2, 4))
+        def check(points, k):
+            expected = oracle_member_counts(points)
+            assert kernel_member_counts(points) == expected
+            assert {sl.line: len(sl.members) for sl in spanned_lines(points)} == expected
+            for sl in spanned_lines(points):
+                assert sl.members == tuple(sorted(p for p in points if sl.line.contains(p)))
+            rich = [m for m in expected.values() if m >= k]
+            stats = incidence_stats(points, k)
+            assert (stats.m, stats.N) == (len(rich), sum(rich))
+
+        check()
+
+    def test_tally_equals_cubic_enumeration(self, family):
+        @ORACLES
+        @given(FAMILIES[family], AREAS, st.sampled_from((F(0), F(1, 2), F(-2, 3))))
+        def check(points, drawn, t):
+            sheared = shear(points, t)
+            for area in _areas_to_check(points, drawn):
+                for k in (2, 3, 4):
+                    assert tally_by_richness(sheared, k, area) == oracle_tally(sheared, k, area)
+
+        check()
+
+
+def test_key_line_is_the_canonical_line():
+    points = [Point(F(1, 2), F(1, 3)), Point(F(3, 2), F(-1, 3)), Point(F(5, 2), -1)]
+    pts, _, scale = integer_points(points)
+    [(_, _, key)] = list(pair_lines(pts[:2]))
+    assert scale == 6
+    assert key_line(key, scale) == line_through(points[0], points[1]) == Line(2, 3, -2)
+
+
+def test_non_triangular_pair_count_raises():
+    assert members_from_pairs(6) == 4
+    with pytest.raises(InvariantViolation):
+        members_from_pairs(5)
