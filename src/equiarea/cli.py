@@ -21,6 +21,7 @@ from .counting import (
     gen_random,
     count_brute,
     count_pairline,
+    matching_count,
     scaling_experiment,
     tally_by_richness,
 )
@@ -33,15 +34,9 @@ from .curves import (
     match_curve,
     reconstruct_generators,
 )
-from .geometry import (
-    GeometryError,
-    InvariantViolation,
-    find_shear,
-    parse_rational,
-    shear,
-)
-from .incidence import incidence_pairs, incidence_stats, rich_lines
-from .matching import IncidencePairParam, count_matching_pairs
+from .geometry import GeometryError, InvariantViolation, parse_rational
+from .incidence import incidence_stats, rich_lines
+from .matching import IncidencePairParam
 from .pointset import PointFileError, read_points, write_points
 
 log = logging.getLogger("equiarea")
@@ -106,15 +101,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_matching(args: argparse.Namespace) -> int:
     points = read_points(args.input)
     area = parse_rational(args.area)
-    # M is invariant under shears, so vertical rich lines are sheared away
-    # rather than reported as errors.
-    sheared = shear(points, find_shear(points))
-    pairs = incidence_pairs(sheared, args.k)
-    m = count_matching_pairs(
-        pairs, area, require_q_in_s=args.require_q_in_s, points=sheared
-    )
+    incidences, m = matching_count(points, args.k, area, args.require_q_in_s)
     print("n,k,A,N,M")
-    print(f"{len(points)},{args.k},{area},{len(pairs)},{m}")
+    print(f"{len(points)},{args.k},{area},{incidences},{m}")
     return 0
 
 

@@ -12,15 +12,17 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+# find_shear, shear and count_matching_pairs are not called here; callers look them up on this module.
 from .geometry import (
     GeometryError,
     InvariantViolation,
     Point,
+    ZeroArea,
     check_distinct,
     find_shear,
     integer_points,
@@ -28,12 +30,8 @@ from .geometry import (
     signed_area2,
 )
 from .incidence import incidence_stats
-from .matching import count_matching_pairs
+from .matching import count_matching_on_lines, count_matching_pairs
 from . import incidence as _incidence
-
-
-class ZeroArea(GeometryError):
-    """Fixed-area counting needs a positive area; collinear triples are not triangles."""
 
 
 class Unsatisfiable(GeometryError):
@@ -209,6 +207,21 @@ class MatchingIdentityReport:
     tally: RichnessTally
 
 
+def matching_count(
+    points: Sequence[Point], k: int, area: Fraction | int, require_q_in_s: bool = True
+) -> tuple[int, int]:
+    """(N, M): incidences on k-rich lines, and ordered counterclockwise matching
+    pairs among them (with require_q_in_s, only those whose third vertex is in
+    the set). About N*m integer probes over `incidence.rich_table`, with no shear.
+    """
+    pts, _, scale = integer_points(points)
+    table = _incidence.rich_table(pts, k)
+    # The key (p, q, c) names the line p*y - q*x = c.
+    lines = {(-q, p, -c): [pts[i] for i in members] for (p, q, c), members in table.items()}
+    m = count_matching_on_lines(lines, Fraction(area) * scale * scale, set(pts) if require_q_in_s else None)
+    return sum(map(len, lines.values())), m
+
+
 def matching_identity_check(
     points: Sequence[Point], k: int, area: Fraction | int = 1
 ) -> MatchingIdentityReport:
@@ -217,23 +230,13 @@ def matching_identity_check(
     M counts ordered counterclockwise matching pairs whose completed third
     vertex lies in the set; every fixed-area triangle contributes one such
     pair per vertex pair whose two top lines are rich, which is three pairs
-    when all three top lines are rich and one when exactly two are. The set is
-    sheared first if any spanned line is vertical; both sides of the identity
-    are shear-invariant.
+    when all three top lines are rich and one when exactly two are. Both
+    sides run on the integer kernel, vertical rich lines included.
     """
     area = _check_area(area)
-    t = find_shear(points)
-    sheared = shear(points, t)
-    pairs = _incidence.incidence_pairs(sheared, k)
-    m = count_matching_pairs(pairs, area, require_q_in_s=True, points=sheared)
-    tally = tally_by_richness(sheared, k, area)
-    return MatchingIdentityReport(
-        M=m,
-        T2=tally.T2,
-        T3=tally.T3,
-        holds=(m == 3 * tally.T3 + tally.T2),
-        tally=tally,
-    )
+    _, m = matching_count(points, k, area)
+    tally = tally_by_richness(points, k, area)
+    return MatchingIdentityReport(m, tally.T2, tally.T3, m == 3 * tally.T3 + tally.T2, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,9 @@ def gen_parallel_lines(lines: int, per_line: int, spacing: int) -> list[Point]:
 
 CSV_HEADER = "generator,n,k,area,count,m,N,M,T0,T1,T2,T3,seconds,seed"
 
-#: Above this size the quadratic matching scan and cubic tally are skipped.
+#: Above this size the matching count and richness tally are skipped. Both are
+#: cheap now (about N*m probes, and O(n^2 + T)); the cutoff stays at 30 because
+#: raising it changes the scaling CSV.
 MATCHING_SIZE_LIMIT = 30
 
 
@@ -320,27 +325,9 @@ class ExperimentRow:
     seed: int
 
     def csv(self) -> str:
-        def opt(v):
-            return "" if v is None else str(v)
-
-        return ",".join(
-            [
-                self.generator,
-                str(self.n),
-                str(self.k),
-                str(self.area),
-                str(self.count),
-                str(self.m),
-                str(self.N),
-                opt(self.M),
-                opt(self.T0),
-                opt(self.T1),
-                opt(self.T2),
-                opt(self.T3),
-                f"{self.seconds:.6f}",
-                str(self.seed),
-            ]
-        )
+        fields = (self.generator, self.n, self.k, self.area, self.count, self.m, self.N,
+                  self.M, self.T0, self.T1, self.T2, self.T3, f"{self.seconds:.6f}", self.seed)
+        return ",".join("" if v is None else str(v) for v in fields)
 
 
 def _generate(kind: str, n: int, seed: int) -> list[Point]:
@@ -376,8 +363,8 @@ def scaling_experiment(
 ) -> list[ExperimentRow]:
     """One row per size; counts via the pair-and-pencil counter.
 
-    The matching count and richness tally are only computed for sizes small
-    enough for their quadratic and cubic scans. For lattice sections the
+    The matching count and richness tally are only computed for sizes up to
+    matching_limit; above it their CSV cells stay blank. For lattice sections the
     normalized count/n^2 must be non-decreasing across the run.
     """
     if list(sizes) != sorted(sizes):
@@ -389,36 +376,18 @@ def scaling_experiment(
         points = _generate(kind, n, seed + n)
         count = count_pairline(points, area)
         stats = incidence_stats(points, k)
-        m_val = t = None
+        m_val, tally = None, (None,) * 4
         if n <= matching_limit:
             report = matching_identity_check(points, k, area)
             if not report.holds:
                 raise InvariantViolation(f"matching identity failed at n={n}")
-            m_val, t = report.M, report.tally
-        rows.append(
-            ExperimentRow(
-                generator=kind,
-                n=n,
-                k=k,
-                area=area,
-                count=count,
-                m=stats.m,
-                N=stats.N,
-                M=m_val,
-                T0=t.T0 if t else None,
-                T1=t.T1 if t else None,
-                T2=t.T2 if t else None,
-                T3=t.T3 if t else None,
-                seconds=time.perf_counter() - started,
-                seed=seed,
-            )
-        )
+            m_val, tally = report.M, astuple(report.tally)
+        seconds = time.perf_counter() - started
+        rows.append(ExperimentRow(kind, n, k, area, count, stats.m, stats.N, m_val, *tally, seconds, seed))
     if kind == "lattice":
         for prev, cur in zip(rows, rows[1:]):
             if cur.count * prev.n**2 < prev.count * cur.n**2:
-                raise InvariantViolation(
-                    f"count/n^2 decreased from n={prev.n} to n={cur.n}"
-                )
+                raise InvariantViolation(f"count/n^2 decreased from n={prev.n} to n={cur.n}")
     return rows
 
 

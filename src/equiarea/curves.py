@@ -20,8 +20,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
-
 from .geometry import (
     GeometryError,
     InvariantViolation,
@@ -738,6 +736,8 @@ def asymptote_convergence_probe(
 
 def _nearest_real_root(coeffs_ascending: list[Fraction]) -> float | None:
     """Smallest |root| among the real roots, at controlled precision."""
+    import mpmath  # imported here: the probe is its only user, and it is slow to import
+
     with mpmath.workdps(60):
         cs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in coeffs_ascending]
         while cs and cs[-1] == 0:

@@ -39,6 +39,10 @@ class IdenticalLines(GeometryError):
     """Two lines with the same canonical form were passed where distinct ones are needed."""
 
 
+class ZeroArea(GeometryError):
+    """Fixed-area counting needs a nonzero area; collinear triples are not triangles."""
+
+
 class InvariantViolation(Exception):
     """A provable structural bound failed.
 
@@ -91,11 +95,13 @@ class Line:
     C: int
 
     def __post_init__(self) -> None:
-        a, b, c = Fraction(self.A), Fraction(self.B), Fraction(self.C)
-        if a == 0 and b == 0:
+        ai, bi, ci = self.A, self.B, self.C
+        if not (isinstance(ai, int) and isinstance(bi, int) and isinstance(ci, int)):
+            a, b, c = Fraction(ai), Fraction(bi), Fraction(ci)
+            den = math.lcm(a.denominator, b.denominator, c.denominator)
+            ai, bi, ci = int(a * den), int(b * den), int(c * den)
+        if ai == 0 and bi == 0:
             raise GeometryError("line needs (A, B) != (0, 0)")
-        den = math.lcm(a.denominator, b.denominator, c.denominator)
-        ai, bi, ci = int(a * den), int(b * den), int(c * den)
         g = math.gcd(ai, bi, ci)
         ai, bi, ci = ai // g, bi // g, ci // g
         if ai < 0 or (ai == 0 and bi < 0):

@@ -60,8 +60,10 @@ def members_from_pairs(pairs: int) -> int:
     return m
 
 
-def _lines_with_members(points: Sequence[Point], k: int) -> list[SpannedLine]:
-    pts, originals, scale = integer_points(points)
+def rich_table(pts: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, int, int], list[int]]:
+    """Line key -> member indices in ascending order, for lines holding at least k of `pts`."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
     # Pairs reach a line in lexicographic order, so its first pair (i, j)
     # holds its two least members and every later member arrives with i.
     table: dict[tuple[int, int, int], list[int]] = {}
@@ -71,10 +73,14 @@ def _lines_with_members(points: Sequence[Point], k: int) -> list[SpannedLine]:
             table[key] = [i, j]
         elif members[0] == i:
             members.append(j)
+    return {key: members for key, members in table.items() if len(members) >= k}
+
+
+def _lines_with_members(points: Sequence[Point], k: int) -> list[SpannedLine]:
+    pts, originals, scale = integer_points(points)
     lines = [
         SpannedLine(key_line(key, scale), tuple(originals[i] for i in members))
-        for key, members in table.items()
-        if len(members) >= k
+        for key, members in rich_table(pts, k).items()
     ]
     return sorted(lines, key=lambda sl: sl.line)
 
@@ -86,8 +92,6 @@ def spanned_lines(points: Sequence[Point]) -> list[SpannedLine]:
 
 def rich_lines(points: Sequence[Point], k: int) -> list[SpannedLine]:
     """Spanned lines holding at least k points."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
     return _lines_with_members(points, k)
 
 

@@ -8,11 +8,16 @@ evaluated in a division-free product form, so no denominator can vanish:
 
     (y - b - kappa*(x - a)) * (y - b - w*(x - a)) == 2*A*(w - kappa)
 
-with (a, b, kappa) the first pair and (x, y, w) the second.
+with (a, b, kappa) the first pair and (x, y, w) the second. For lines
+A*x + B*y + C = 0, det = A1*B2 - A2*B1 and (dx, dy) = p2 - p1, it reads
+(A1*dx + B1*dy) * (A2*dx + B2*dy) == 2*A*det: homogeneous in each line's
+coefficients, so the matching count runs on integer lines, vertical included.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -22,6 +27,7 @@ from .geometry import (
     Line,
     Point,
     VerticalLine,
+    ZeroArea,
     intersect,
     line_through,
     signed_area2,
@@ -79,11 +85,7 @@ def _line_point_slope(p: Point, m: Fraction) -> Line:
 
 
 def to_param(line: Line, point: Point) -> IncidencePairParam:
-    """Parametrize a (line, point) incidence pair; the line must be sloped."""
-    if line.is_vertical:
-        raise VerticalLine(f"{line} has no slope; shear the point set first")
-    if not line.contains(point):
-        raise PointNotOnLine(f"{point} not on {line}")
+    """Parametrize a (line, point) incidence pair; a vertical line raises VerticalLine."""
     return IncidencePairParam(point.x, point.y, line.slope(), line, point)
 
 
@@ -105,12 +107,8 @@ def matches_ccw(
 def matches_cw(
     p1: IncidencePairParam, p2: IncidencePairParam, area: Fraction | int = 1
 ) -> bool:
-    """Clockwise variant; identical to matches_ccw with the pair swapped."""
-    a, b, k = p1.a, p1.b, p1.kappa
-    x, y, w = p2.a, p2.b, p2.kappa
-    if k == w:
-        return False
-    return (y - b - k * (x - a)) * (y - b - w * (x - a)) == -2 * Fraction(area) * (w - k)
+    """Clockwise variant: matches_ccw with the pair swapped."""
+    return matches_ccw(p2, p1, area)
 
 
 def third_vertex(p1: IncidencePairParam, p2: IncidencePairParam) -> Point:
@@ -131,12 +129,8 @@ def top_lines(triangle: Sequence[Point]) -> tuple[Line, Line, Line]:
     p, q, r = triangle
     if signed_area2(p, q, r) == 0:
         raise DegenerateTriangle(f"collinear: {p}, {q}, {r}")
-    verts = (p, q, r)
-    out = []
-    for i in range(3):
-        base = line_through(verts[(i + 1) % 3], verts[(i + 2) % 3])
-        out.append(base.parallel_through(verts[i]))
-    return tuple(out)  # type: ignore[return-value]
+    rotations = ((p, q, r), (q, r, p), (r, p, q))
+    return tuple(line_through(v, w).parallel_through(u) for u, v, w in rotations)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -155,11 +149,7 @@ def classify_triangle(
     tri = tuple(triangle)
     if any(v not in pset for v in tri):
         raise ValueError("triangle vertices must belong to the point set")
-    rich = 0
-    for line in top_lines(tri):
-        on_line = sum(1 for p in points if line.contains(p))
-        if on_line >= k:
-            rich += 1
+    rich = sum(sum(map(line.contains, points)) >= k for line in top_lines(tri))
     return TriangleRichness(tri, rich)
 
 
@@ -169,29 +159,68 @@ def count_matching_pairs(
     require_q_in_s: bool = False,
     points: Iterable[Point] | None = None,
 ) -> int:
-    """Number of ordered counterclockwise matching pairs, by full O(N^2) scan.
+    """Number of ordered counterclockwise matching pairs, by `count_matching_on_lines`.
 
     With require_q_in_s, only pairs whose completed third vertex lies in the
     given point set are counted.
     """
-    area = Fraction(area)
-    pset = None
-    if require_q_in_s:
-        if points is None:
-            raise ValueError("require_q_in_s needs the point set")
-        pset = set(points)
-    triples = [(p.a, p.b, p.kappa) for p in pairs]
-    two_a = 2 * area
-    count = 0
-    for i, (a, b, k) in enumerate(triples):
-        for j, (x, y, w) in enumerate(triples):
-            if i == j or k == w:
+    if require_q_in_s and points is None:
+        raise ValueError("require_q_in_s needs the point set")
+    points = list(points) if require_q_in_s else []
+    coords = [c for p in pairs for c in (p.a, p.b)] + [c for p in points for c in (p.x, p.y)]
+    scale = math.lcm(*(c.denominator for c in coords))
+    lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    for p in pairs:
+        point = (int(p.a * scale), int(p.b * scale))
+        lines.setdefault((p.line.A, p.line.B, p.line.C * scale), []).append(point)
+    in_s = {(int(p.x * scale), int(p.y * scale)) for p in points} if require_q_in_s else None
+    return count_matching_on_lines(lines, Fraction(area) * scale * scale, in_s)
+
+
+def count_matching_on_lines(
+    lines: dict[tuple[int, int, int], list[tuple[int, int]]],
+    area: Fraction | int,
+    points: set[tuple[int, int]] | None = None,
+) -> int:
+    """Ordered counterclockwise matching pairs among integer incidences, in about N*m probes.
+
+    `lines` maps (A, B, C), integers for A*x + B*y + C = 0, to the integer
+    points on that line. As L1(p1) = L2(p2) = 0, the predicate reads
+    -L1(p2) * L2(p1) == 2*area*det, so for a fixed (l1, p1) and each l2 not
+    parallel to l1 the one candidate p2 has L1(p2) = -2*area*det / L2(p1), or
+    there is none when L2(p1) = 0. With `points`, a match also needs its third
+    vertex q = p1 + p2 - o in `points`, for o the lines' intersection.
+    """
+    twice = 2 * Fraction(area)
+    if not twice:
+        raise ZeroArea("matching needs a nonzero area")
+    num, den = twice.numerator, twice.denominator
+    on_line = [(line, Counter(members)) for line, members in lines.items()]
+    total = 0
+    for (a1, b1, c1), members in lines.items():
+        for (a2, b2, c2), on2 in on_line:
+            det = a1 * b2 - a2 * b1
+            if not det:
                 continue
-            dx = x - a
-            dy = y - b
-            if (dy - k * dx) * (dy - w * dx) != two_a * (w - k):
-                continue
-            if pset is not None and third_vertex(pairs[i], pairs[j]) not in pset:
-                continue
-            count += 1
-    return count
+            # det * o; a candidate is p2 = o + t * (B2, -A2) / det for t = L1(p2).
+            xo, yo = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+            if points is not None:
+                if xo % det or yo % det:
+                    continue  # o, hence q, is not an integer point
+                ox, oy = xo // det, yo // det
+            target = -num * det
+            for x1, y1 in members:
+                v = (a2 * x1 + b2 * y1 + c2) * den
+                if not v:
+                    continue
+                t, r = divmod(target, v)
+                if r:
+                    continue
+                x, rx = divmod(xo + t * b2, det)
+                y, ry = divmod(yo - t * a2, det)
+                if rx or ry:
+                    continue
+                hits = on2.get((x, y))
+                if hits and (points is None or (x1 + x - ox, y1 + y - oy) in points):
+                    total += hits
+    return total

@@ -51,7 +51,7 @@ class TestStatsAndMatching:
         assert lines[1].startswith("4,2,6,12,")
 
     def test_matching_handles_vertical_lines(self, capsys, tmp_path):
-        # The square spans two vertical lines; the adapter shears internally.
+        # The square spans two vertical lines; the integer probe needs no shear.
         code, out, _ = run(
             capsys, "matching", "--input", write_square(tmp_path), "--k", "2", "--require-q-in-s"
         )
@@ -59,6 +59,24 @@ class TestStatsAndMatching:
         assert code == 0
         assert lines[0] == "n,k,A,N,M"
         assert lines[1] == "4,2,1,12,0"
+
+    @pytest.mark.parametrize(
+        "area, flags, row",
+        [("1", (), "9,3,1,24,36"), ("1", ("--require-q-in-s",), "9,3,1,24,16"), ("-1/2", (), "9,3,-1/2,24,40")],
+    )
+    def test_matching_on_vertical_rich_lines(self, capsys, tmp_path, area, flags, row):
+        # Columns of the 3x3 grid are rich vertical lines; the counts equal the
+        # Fraction scan over a sheared copy of the grid.
+        path = tmp_path / "grid.txt"
+        path.write_text("".join(f"{x} {y}\n" for y in range(3) for x in range(3)))
+        code, out, _ = run(capsys, "matching", "--input", str(path), "--k", "3", f"--area={area}", *flags)
+        assert code == 0
+        assert out == f"n,k,A,N,M\n{row}\n"
+
+    def test_matching_zero_area_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "matching", "--input", write_square(tmp_path), "--area", "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_tally_csv(self, capsys, tmp_path):
         code, out, _ = run(capsys, "tally", "--input", write_square(tmp_path), "--k", "2", "--area", "1/2")

@@ -1,10 +1,15 @@
 """Match-curve derivation, asymptotes, reconstruction, intersection bounds."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import equiarea
 from equiarea.curves import (
     AmbiguousMedian,
     BivariateCubic,
@@ -446,3 +451,10 @@ class TestConvergenceProbe:
         curve = match_curve(P1, P2).curve
         with pytest.raises(ValueError):
             asymptote_convergence_probe(curve, Line(1, 1, 7), [1000])
+
+
+def test_mpmath_is_imported_only_when_the_probe_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(equiarea.__file__).parents[1])}
+    code = "import sys, equiarea, equiarea.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Exact geometry kernel tests."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from equiarea.geometry import (
     DuplicatePoints,
+    GeometryError,
     IdenticalLines,
     IdenticalPoints,
     Line,
@@ -170,3 +172,24 @@ class TestFindShear:
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoints):
             find_shear([pt(0, 0), pt(0, 0)])
+
+
+class TestLineIntegerInputs:
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+        st.integers(-50, 50),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    )
+    def test_int_and_equal_fraction_inputs_give_one_line(self, a, b, c, scale):
+        if a == b == 0:
+            with pytest.raises(GeometryError):
+                Line(a, b, c)
+            return
+        from_ints = Line(a, b, c)
+        for line in (Line(F(a), F(b), F(c)), Line(a * scale, b * scale, c * scale)):
+            assert (line.A, line.B, line.C) == (from_ints.A, from_ints.B, from_ints.C)
+        assert all(type(v) is int for v in (from_ints.A, from_ints.B, from_ints.C))
+        assert math.gcd(from_ints.A, from_ints.B, from_ints.C) == 1
+        assert from_ints.A > 0 or (from_ints.A == 0 and from_ints.B > 0)

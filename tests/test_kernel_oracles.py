@@ -4,10 +4,11 @@ Each fast path is compared on property-generated inputs with a path that
 shares none of its code: `count_brute` for `count_pairline`, a
 `line_through`/Fraction member count for the integer line keys, and the
 O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
-`tally_by_richness`. The input families are rational coordinates with mixed
-denominators, coordinates above 2^64, sets with vertical lines, and
-collinear-heavy sets. Examples are derandomized, so every run draws the same
-inputs.
+`tally_by_richness`, and the O(N^2) Fraction scan over sheared incidence
+pairs for the integer matching probe. The input families are rational
+coordinates with mixed denominators, coordinates above 2^64, sets with
+vertical lines, and collinear-heavy sets. Examples are derandomized, so every
+run draws the same inputs.
 """
 
 import math
@@ -24,11 +25,28 @@ from equiarea.counting import (
     count_brute,
     count_pairline,
     fixed_area_triangles,
+    matching_count,
     tally_by_richness,
 )
-from equiarea.geometry import InvariantViolation, Line, Point, integer_points, line_through, shear, signed_area2
-from equiarea.incidence import incidence_stats, key_line, members_from_pairs, pair_lines, spanned_lines
-from equiarea.matching import top_lines
+from equiarea.geometry import (
+    InvariantViolation,
+    Line,
+    Point,
+    find_shear,
+    integer_points,
+    line_through,
+    shear,
+    signed_area2,
+)
+from equiarea.incidence import (
+    incidence_pairs,
+    incidence_stats,
+    key_line,
+    members_from_pairs,
+    pair_lines,
+    spanned_lines,
+)
+from equiarea.matching import count_matching_pairs, third_vertex, top_lines
 
 ORACLES = settings(
     derandomize=True,
@@ -65,6 +83,9 @@ COLLINEAR = st.tuples(
 
 FAMILIES = {"rational": RATIONAL, "huge": HUGE, "vertical": VERTICAL, "collinear": COLLINEAR}
 AREAS = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 3), F(5, 6), F(1, 12)))
+# The matching oracle is quadratic in the incidences, so its sets stay small.
+MATCHING_FAMILIES = {name: family.map(lambda pts: pts[:8]) for name, family in FAMILIES.items()}
+SIGNED_AREAS = st.sampled_from((F(1), F(1, 2), F(3, 2), F(-1), F(-5, 6)))
 
 
 def _areas_to_check(points, drawn):
@@ -106,6 +127,25 @@ def oracle_tally(points, k, area):
         buckets[rich] += 1
     assert all(assigned <= 2 * (k - 1) for assigned in poor_per_base.values())
     return RichnessTally(*buckets)
+
+
+def oracle_matching_pairs(pairs, area, require_q_in_s, points):
+    """The O(N^2) Fraction scan: the slope form of the predicate on every
+    ordered pair of sloped incidence pairs, and `third_vertex` for q."""
+    in_s = set(points) if require_q_in_s else None
+    twice = 2 * F(area)
+    count = 0
+    for i, (a, b, k) in enumerate((p.a, p.b, p.kappa) for p in pairs):
+        for j, (x, y, w) in enumerate((p.a, p.b, p.kappa) for p in pairs):
+            if i == j or k == w:
+                continue
+            dx, dy = x - a, y - b
+            if (dy - k * dx) * (dy - w * dx) != twice * (w - k):
+                continue
+            if in_s is not None and third_vertex(pairs[i], pairs[j]) not in in_s:
+                continue
+            count += 1
+    return count
 
 
 def kernel_member_counts(points):
@@ -150,6 +190,24 @@ class TestAgainstOracles:
                     assert tally_by_richness(sheared, k, area) == oracle_tally(sheared, k, area)
 
         check()
+
+
+@pytest.mark.parametrize("family", sorted(MATCHING_FAMILIES))
+def test_matching_probe_equals_sheared_scan(family):
+    """The probe on the unsheared set against the Fraction scan on a sheared copy."""
+
+    @ORACLES
+    @given(MATCHING_FAMILIES[family], SIGNED_AREAS, st.integers(2, 3), st.booleans())
+    def check(points, drawn, k, require_q_in_s):
+        sheared = shear(points, find_shear(points))
+        pairs = incidence_pairs(sheared, k)
+        sign = 1 if drawn > 0 else -1
+        for area in {sign * a for a in _areas_to_check(points, abs(drawn))}:
+            expected = oracle_matching_pairs(pairs, area, require_q_in_s, sheared)
+            assert matching_count(points, k, area, require_q_in_s) == (len(pairs), expected)
+            assert count_matching_pairs(pairs, area, require_q_in_s, sheared) == expected
+
+    check()
 
 
 def test_key_line_is_the_canonical_line():

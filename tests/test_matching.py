@@ -11,11 +11,13 @@ from equiarea.geometry import (
     ParallelLines,
     Point,
     VerticalLine,
+    ZeroArea,
     find_shear,
     intersect,
     shear,
     signed_area2,
 )
+from equiarea.counting import matching_count
 from equiarea.incidence import incidence_pairs
 from equiarea.matching import (
     DegenerateTriangle,
@@ -219,3 +221,25 @@ class TestCountMatchingPairs:
     def test_filter_needs_points(self):
         with pytest.raises(ValueError):
             count_matching_pairs([P_A, P_B], 1, require_q_in_s=True)
+
+    def test_zero_area_rejected(self):
+        pts = [Point(x, y) for y in range(3) for x in range(3)]
+        sheared = shear(pts, find_shear(pts))
+        with pytest.raises(ZeroArea):
+            count_matching_pairs(incidence_pairs(sheared, 2), 0)
+        with pytest.raises(ZeroArea):
+            matching_count(pts, 2, 0)
+
+    def test_vertical_rich_lines_need_no_shear(self):
+        # The 3x3 grid's columns are rich and vertical; M is the sheared value.
+        pts = [Point(x, y) for y in range(3) for x in range(3)]
+        sheared = shear(pts, find_shear(pts))
+        pairs = incidence_pairs(sheared, 3)
+        for require_q_in_s, expected in ((False, 36), (True, 16)):
+            assert count_matching_pairs(pairs, 1, require_q_in_s, sheared) == expected
+            assert matching_count(pts, 3, 1, require_q_in_s) == (24, expected)
+            assert matching_count(pts, 3, -1, require_q_in_s) == (24, expected)
+
+    def test_repeated_pairs_count_with_multiplicity(self):
+        pairs = [P_A, P_B, P_B]
+        assert count_matching_pairs(pairs, 1) == 2 * count_matching_pairs([P_A, P_B], 1) == 2
