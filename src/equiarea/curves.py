@@ -37,6 +37,7 @@ from .polynomial import (
     BivariatePoly,
     UnivariatePoly,
     count_real_roots,
+    nearest_real_root,
     poly_gcd,
     rational_roots,
     rational_roots_with_multiplicity,
@@ -99,6 +100,9 @@ class LinearForm:
     def as_line(self) -> Line:
         return Line(self.cx, self.cy, self.c0)
 
+    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
+        return self.cx, self.cy, self.c0
+
     def shifted(self, delta: Fraction) -> "LinearForm":
         return LinearForm(self.cx, self.cy, self.c0 + delta)
 
@@ -128,8 +132,13 @@ class LinearFormBundle:
     s: Fraction
 
     def __post_init__(self) -> None:
-        lhs = self.L1.poly() * self.L4.poly() - self.L2.poly() * self.L5.poly()
-        if lhs != self.L6.poly():
+        # L1*L4 - L2*L5, coefficient by coefficient: its quadratic part must
+        # cancel and its linear part must be L6 = D*x + E*y + F.
+        (a1, b1, c1), (a2, b2, c2) = self.L1.coefficients(), self.L2.coefficients()
+        (a4, b4, c4), (a5, b5, c5) = self.L4.coefficients(), self.L5.coefficients()
+        quadratic = (a1 * a4 - a2 * a5, a1 * b4 + b1 * a4 - a2 * b5 - b2 * a5, b1 * b4 - b2 * b5)
+        linear = (a1 * c4 + c1 * a4 - a2 * c5 - c2 * a5, b1 * c4 + c1 * b4 - b2 * c5 - c2 * b5, c1 * c4 - c2 * c5)
+        if any(quadratic) or linear != self.L6.coefficients() or linear != (self.D, self.E, self.F):
             raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
 
 
@@ -693,6 +702,9 @@ def triple_common_points(
     return TripleCommonPoints(inter.upper_bound, tuple(sorted(witnesses)))
 
 
+PROBE_WIDTH = Fraction(1, 10**12)
+
+
 def asymptote_convergence_probe(
     cubic: BivariateCubic, line: Line, xs: Sequence[Fraction | int]
 ) -> list[float]:
@@ -700,9 +712,10 @@ def asymptote_convergence_probe(
 
     For each sample parameter, walks that far along the asymptote, slices the
     curve along the normal direction, and reports the distance to the nearest
-    real branch. This is the single numeric probe in the package (roots come
-    from controlled-precision polynomial solving); the exact machinery never
-    depends on it.
+    real branch. This is the single numeric probe in the package: each real
+    root of the slice is isolated exactly and bisected to width PROBE_WIDTH,
+    and only the final distance is a float. The exact machinery never depends
+    on it.
     """
     if line not in asymptotes(cubic):
         raise ValueError(f"{line} is not an asymptote of the curve")
@@ -723,35 +736,11 @@ def asymptote_convergence_probe(
             BivariatePoly({(1, 0): Fraction(b), (0, 0): qy}),
         )
         deg = max((i for i, _ in section.coeffs), default=-1)
-        if deg < 0:
-            out.append(0.0)
-            continue
-        coeffs = [section.coeff(i, 0) for i in range(deg + 1)]
-        sigma = _nearest_real_root(coeffs)
+        sigma = nearest_real_root(UnivariatePoly([section.coeff(i, 0) for i in range(deg + 1)]), PROBE_WIDTH)
         if sigma is None:
             raise NoBranch(f"no real branch at sample {tau}")
-        out.append(abs(sigma) * norm)
+        out.append(float(abs(sigma)) * norm)
     return out
-
-
-def _nearest_real_root(coeffs_ascending: list[Fraction]) -> float | None:
-    """Smallest |root| among the real roots, at controlled precision."""
-    import mpmath  # imported here: the probe is its only user, and it is slow to import
-
-    with mpmath.workdps(60):
-        cs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in coeffs_ascending]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if len(cs) <= 1:
-            return 0.0 if not cs or cs[0] == 0 else None
-        roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=200)
-        best = None
-        for r in roots:
-            if abs(mpmath.im(r)) <= mpmath.mpf("1e-30") * (1 + abs(r)):
-                val = abs(mpmath.re(r))
-                if best is None or val < best:
-                    best = val
-        return float(best) if best is not None else None
 
 
 # ---------------------------------------------------------------------------

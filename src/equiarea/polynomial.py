@@ -1,21 +1,18 @@
 """Small exact polynomial kit over the rationals.
 
-Univariate: arithmetic, gcd, squarefree part, Sturm real-root counting,
-rational roots. Bivariate: dense-dict arithmetic, substitution, homogeneous
-parts, and the Sylvester resultant in y via evaluation plus Lagrange
-interpolation.
-
-Rational roots are found without factoring any integers: isolate each real
-root by exact Sturm bisection, shrink the interval below 1/(2L^2) where L
-bounds the denominator (L = |leading coefficient| of the primitive squarefree
-part), then the only possible candidate is Fraction.limit_denominator of the
-midpoint, which is verified by exact substitution.
+Univariate: arithmetic on Fraction coefficients; gcd, squarefree part, Sturm
+real-root counting, rational roots and root isolation on primitive integer
+coefficient tuples (signed pseudo-remainders, homogeneous Horner signs at
+dyadic points, no integer factoring). Bivariate: dense-dict arithmetic,
+substitution, homogeneous parts, and the Sylvester resultant in y by Bareiss
+elimination at integer samples plus Newton interpolation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .geometry import InvariantViolation
@@ -53,12 +50,7 @@ class UnivariatePoly:
         return f"UnivariatePoly({list(self.coeffs)!r})"
 
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
+        return UnivariatePoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __neg__(self) -> "UnivariatePoly":
         return UnivariatePoly(-c for c in self.coeffs)
@@ -111,164 +103,215 @@ class UnivariatePoly:
 
     def primitive(self) -> "UnivariatePoly":
         """Integer-coefficient version with content 1, sign preserved."""
-        if self.is_zero():
-            return self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return UnivariatePoly(Fraction(c, g) for c in ints)
+        return UnivariatePoly(_ints(self))
+
+
+# ---------------------------------------------------------------------------
+# Integer kit. A polynomial is a tuple of ints, low degree first, without
+# trailing zeros; `_ints` clears denominators once, where a UnivariatePoly
+# comes in. A point is a fraction n/d with d > 0, where the kit takes the
+# integer d^deg * p(n/d), which has the sign of p(n/d).
+
+_Interval = tuple[int, int, int]  # (lo, hi, d): the open interval (lo/d, hi/d)
+
+
+def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
+    """Strip trailing zeros and divide by the (positive) content."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
+
+
+def _ints(p: UnivariatePoly) -> tuple[int, ...]:
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _derivative(a: tuple[int, ...]) -> tuple[int, ...]:
+    return _primitive([i * c for i, c in enumerate(a)][1:])
+
+
+def _value(a: Sequence[int], n: int, d: int = 1) -> int:
+    """Homogeneous Horner: the sum of c_i n^i d^(deg - i)."""
+    acc, dk = 0, 1
+    for c in reversed(a):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Remainder of a by b times a positive integer, made primitive. Each
+    step scales by |lc(b)|, so the sign a Sturm chain needs is kept."""
+    lb, sb, db = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        top = r.pop() * sb
+        shift = len(r) - db
+        r = [c * lb for c in r]
+        for j in range(db):
+            r[shift + j] -= top * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r)
+
+
+def _quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
+    """a / b if the primitive b divides a, else None. By Gauss's lemma such a
+    quotient is integral, so a non-integral step means b does not divide."""
+    db, lb = len(b) - 1, b[-1]
+    r, q = list(a), [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(r[k + db], lb)
+        if rem:
+            return None
+        for j in range(db):
+            r[k + j] -= q[k] * b[j]
+    return None if any(r[:db]) else tuple(q)
+
+
+def _gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Gcd of primitive a and b, with a positive leading coefficient."""
+    while b:
+        a, b = b, _prem(a, b)
+    return tuple(-c for c in a) if a and a[-1] < 0 else a
+
+
+def _squarefree(a: tuple[int, ...]) -> tuple[int, ...]:
+    """The squarefree part of a primitive a, with a's leading sign."""
+    if len(a) <= 2:
+        return a
+    q = _quotient(a, _gcd(a, _derivative(a)))
+    if q is None:
+        raise InvariantViolation("gcd with the derivative does not divide the polynomial")
+    return q
+
+
+def _sturm_chain(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Signed pseudo-remainder sequence of a squarefree a of degree >= 1."""
+    chain = [a, _derivative(a)]
+    while len(chain[-1]) > 1 and (r := _prem(chain[-2], chain[-1])):
+        chain.append(tuple(-c for c in r))
+    return chain
+
+
+def _variations(values: Iterable[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     """Gcd, normalized primitive with positive leading coefficient."""
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r.primitive()
-    if a.is_zero():
-        return a
-    if a.coeffs[-1] < 0:
-        a = a.scale(-1)
-    return a
+    return UnivariatePoly(_gcd(_ints(a), _ints(b)))
 
 
 def squarefree_part(p: UnivariatePoly) -> UnivariatePoly:
-    if p.degree <= 0:
-        return p.primitive()
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive()
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise InvariantViolation("gcd with the derivative does not divide the polynomial")
-    return q.primitive()
-
-
-def _sturm_chain(p: UnivariatePoly) -> list[UnivariatePoly]:
-    chain = [p.primitive(), p.derivative().primitive()]
-    while not chain[-1].is_zero():
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
-            break
-        # Dividing by the (positive) content keeps coefficients small without
-        # disturbing signs, which is all the chain cares about.
-        chain.append((-r).primitive())
-    return [c for c in chain if not c.is_zero()]
-
-
-def _variations(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at(chain: Sequence[UnivariatePoly], x: Fraction) -> int:
-    return _variations(c.evaluate(x) for c in chain)
-
-
-def root_bound(p: UnivariatePoly) -> Fraction:
-    """A strict Cauchy bound: every real root lies in (-B, B)."""
-    if p.degree < 1:
-        return Fraction(1)
-    lead = abs(p.coeffs[-1])
-    rest = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return 1 + rest / lead
+    """Primitive squarefree part, with the sign of p's leading coefficient."""
+    return UnivariatePoly(_squarefree(_ints(p)))
 
 
 def count_real_roots(p: UnivariatePoly) -> int:
-    """Number of distinct real roots (exact, via Sturm on the squarefree part)."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
+    """Number of distinct real roots: Sturm on the squarefree part, with the
+    chain's signs at -inf and +inf read off its leading terms."""
+    sf = _squarefree(_ints(p))
+    if len(sf) <= 1:
         return 0
     chain = _sturm_chain(sf)
-    b = root_bound(sf)
-    return _variations_at(chain, -b) - _variations_at(chain, b)
+    return _variations(c[-1] * (-1) ** (len(c) - 1) for c in chain) - _variations(c[-1] for c in chain)
 
 
-def _isolate_or_hit(sf: UnivariatePoly) -> tuple[list[tuple[Fraction, Fraction]], Fraction | None]:
-    """Isolate real roots of a squarefree poly whose endpoints are non-roots.
-
-    Returns (intervals, None) on success, or ((), hit) when bisection landed
-    exactly on a root; the caller deflates and retries. Interval endpoints are
-    guaranteed non-roots, so each interval brackets its root with a sign change.
-    """
+def _isolate_or_hit(sf: tuple[int, ...]) -> tuple[list[_Interval], tuple[int, int] | None]:
+    """Sturm bisection of (-2^k, 2^k), which strictly contains the Cauchy
+    bound: (intervals, None), one per real root, with non-root endpoints; or
+    ([], (n, d)) when the bisection point n/d is a root, for the caller to
+    deflate and retry."""
     chain = _sturm_chain(sf)
-    b = root_bound(sf)
-    intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(-b, b, _variations_at(chain, -b), _variations_at(chain, b))]
+    b = 1 << (max(map(abs, sf[:-1]), default=0) // abs(sf[-1]) + 2).bit_length()
+    intervals: list[_Interval] = []
+    stack = [(-b, b, 1, *(_variations(_value(c, x) for c in chain) for x in (-b, b)))]
     while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        count = vlo - vhi
-        if count == 0:
-            continue
-        if count == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if sf.evaluate(mid) == 0:
-            return [], mid
-        vmid = _variations_at(chain, mid)
-        stack.append((lo, mid, vlo, vmid))
-        stack.append((mid, hi, vmid, vhi))
-    return sorted(intervals), None
+        lo, hi, d, vlo, vhi = stack.pop()
+        if vlo - vhi == 1:
+            intervals.append((lo, hi, d))
+        elif vlo - vhi > 1:
+            mid, d = lo + hi, 2 * d
+            if _value(sf, mid, d) == 0:
+                return [], (mid, d)
+            vmid = _variations(_value(c, mid, d) for c in chain)
+            stack += [(2 * lo, mid, d, vlo, vmid), (mid, 2 * hi, d, vmid, vhi)]
+    return intervals, None
+
+
+def _narrow(a: tuple[int, ...], interval: _Interval, width: Fraction) -> _Interval:
+    """Bisect an isolating interval to width <= `width`; (n, n, d) when the
+    bisection point n/d is the root."""
+    lo, hi, d = interval
+    low_positive = _value(a, lo, d) > 0
+    while (hi - lo) * width.denominator > width.numerator * d:
+        mid, d = lo + hi, 2 * d
+        v = _value(a, mid, d)
+        if v == 0:
+            return mid, mid, d
+        lo, hi = (mid, 2 * hi) if (v > 0) == low_positive else (2 * lo, mid)
+    return lo, hi, d
+
+
+def _real_roots(a: tuple[int, ...], width: Fraction) -> list[_Interval]:
+    """One interval of width <= `width` around each real root of the
+    squarefree a, or (n, n, d) for a root n/d that bisection hit."""
+    hits, intervals = [], []
+    while len(a) > 1:
+        intervals, hit = _isolate_or_hit(a)
+        if hit is None:
+            break
+        g = math.gcd(*hit)
+        hits.append((hit[0], hit[0], hit[1]))
+        a, intervals = _quotient(a, (-hit[0] // g, hit[1] // g)), []
+        if a is None:
+            raise InvariantViolation(f"root {hit[0]}/{hit[1]} left a remainder")
+    return hits + [_narrow(a, interval, width) for interval in intervals]
 
 
 def rational_roots(p: UnivariatePoly) -> list[Fraction]:
-    """All distinct rational roots, exactly, without integer factorization."""
+    """All distinct rational roots, exactly, without integer factorization.
+
+    A rational root of the primitive squarefree part is k/L for an integer k,
+    with L its |leading coefficient|, and an open interval no wider than 1/L
+    holds at most one such fraction: each root's narrowed interval has one
+    candidate, which exact evaluation decides.
+    """
     if p.degree <= 0:
         return []
-    roots: set[Fraction] = set()
-    sf = squarefree_part(p)
-    while sf.degree >= 1 and sf.coeffs[0] == 0:
-        roots.add(Fraction(0))
-        sf = UnivariatePoly(sf.coeffs[1:])
-    while sf.degree >= 1:
-        intervals, hit = _isolate_or_hit(sf)
-        if hit is not None:
-            roots.add(hit)
-            sf, rem = sf.divmod(UnivariatePoly([-hit, 1]))
-            if not rem.is_zero():
-                raise InvariantViolation(f"root {hit} left a remainder")
-            sf = sf.primitive()
-            continue
-        lead = abs(int(sf.coeffs[-1]))
-        width_limit = Fraction(1, 2 * lead * lead + 1)
-        for lo, hi in intervals:
-            flo = sf.evaluate(lo)
-            found = None
-            while hi - lo > width_limit:
-                mid = (lo + hi) / 2
-                fmid = sf.evaluate(mid)
-                if fmid == 0:
-                    found = mid
-                    break
-                if (flo > 0) != (fmid > 0):
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            if found is None:
-                cand = ((lo + hi) / 2).limit_denominator(lead)
-                if sf.evaluate(cand) == 0:
-                    found = cand
-            if found is not None:
-                roots.add(found)
-        break
+    sf = _squarefree(_ints(p))
+    lead, roots = abs(sf[-1]), set()
+    for lo, hi, d in _real_roots(sf, Fraction(1, lead)):
+        if lo == hi:
+            roots.add(Fraction(lo, d))
+        elif (k := lo * lead // d + 1) * d < hi * lead and _value(sf, k, lead) == 0:
+            roots.add(Fraction(k, lead))
     return sorted(roots)
 
 
 def rational_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[Fraction, int]]:
-    out = []
+    a, out = _ints(p), []
     for r in rational_roots(p):
-        factor = UnivariatePoly([-r, 1])
-        mult = 0
-        q = p
-        while True:
-            quo, rem = q.divmod(factor)
-            if not rem.is_zero():
-                break
-            mult += 1
-            q = quo
+        factor, mult = (-r.numerator, r.denominator), 0
+        while (q := _quotient(a, factor)) is not None:
+            a, mult = q, mult + 1
         out.append((r, mult))
     return out
+
+
+def nearest_real_root(p: UnivariatePoly, width: Fraction) -> Fraction | None:
+    """Within width/2 of the real root of p nearest 0 (exactly it when
+    bisection hit it), or None when p has no real root; 0 for p = 0."""
+    a = _ints(p)
+    if not a:
+        return Fraction(0)
+    near = [Fraction(lo + hi, 2 * d) for lo, hi, d in _real_roots(_squarefree(a), width)]
+    return min(near, key=abs, default=None)
 
 
 class BivariatePoly:
@@ -277,12 +320,7 @@ class BivariatePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[tuple[int, int], Fraction | int] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        for key, val in (coeffs or {}).items():
-            v = Fraction(val)
-            if v != 0:
-                cleaned[key] = v
-        self.coeffs = cleaned
+        self.coeffs = {key: v for key, val in (coeffs or {}).items() if (v := Fraction(val)) != 0}
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -337,31 +375,21 @@ class BivariatePoly:
         return BivariatePoly({key: v * k for key, v in self.coeffs.items()})
 
     def total_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(i + j for i, j in self.coeffs)
+        return max((i + j for i, j in self.coeffs), default=-1)
 
     def homogeneous_part(self, d: int) -> "BivariatePoly":
         return BivariatePoly({k: v for k, v in self.coeffs.items() if k[0] + k[1] == d})
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         x, y = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self.coeffs.items():
-            total += c * x**i * y**j
-        return total
+        return sum((c * x**i * y**j for (i, j), c in self.coeffs.items()), Fraction(0))
 
     def substitute(self, px: "BivariatePoly", py: "BivariatePoly") -> "BivariatePoly":
         """Compose: self(px(u, v), py(u, v))."""
-        if not self.coeffs:
-            return BivariatePoly.zero()
-        max_i = max(i for i, _ in self.coeffs)
-        max_j = max(j for _, j in self.coeffs)
-        xpow = [BivariatePoly.constant(1)]
-        for _ in range(max_i):
+        xpow, ypow = [BivariatePoly.constant(1)], [BivariatePoly.constant(1)]
+        for _ in range(max((i for i, _ in self.coeffs), default=0)):
             xpow.append(xpow[-1] * px)
-        ypow = [BivariatePoly.constant(1)]
-        for _ in range(max_j):
+        for _ in range(self.y_degree()):
             ypow.append(ypow[-1] * py)
         out = BivariatePoly.zero()
         for (i, j), c in self.coeffs.items():
@@ -375,29 +403,12 @@ class BivariatePoly:
         )
 
     def y_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(j for _, j in self.coeffs)
-
-    def y_coefficients(self) -> list[UnivariatePoly]:
-        """Coefficient of y^j as a polynomial in x, for j = 0..y_degree."""
-        dy = self.y_degree()
-        if dy < 0:
-            return []
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
-        for (i, j), c in self.coeffs.items():
-            cols[j][i] = c
-        out = []
-        for col in cols:
-            n = max(col) + 1 if col else 0
-            out.append(UnivariatePoly([col.get(i, Fraction(0)) for i in range(n)]))
-        return out
+        return max((j for _, j in self.coeffs), default=-1)
 
     def section_at_x(self, x0: Fraction | int) -> UnivariatePoly:
         """The univariate slice f(x0, y)."""
         x0 = Fraction(x0)
-        dy = self.y_degree()
-        vals = [Fraction(0)] * (dy + 1 if dy >= 0 else 0)
+        vals = [Fraction(0)] * (self.y_degree() + 1)
         for (i, j), c in self.coeffs.items():
             vals[j] += c * x0**i
         return UnivariatePoly(vals)
@@ -441,80 +452,68 @@ class BivariatePoly:
         return quo_u.substitute(back_u, back_v), rem_u.substitute(back_u, back_v)
 
 
-def lagrange_interpolate(samples: Sequence[tuple[Fraction, Fraction]]) -> UnivariatePoly:
-    """Exact interpolation through (x, value) samples with distinct x."""
-    total = UnivariatePoly()
-    for i, (xi, yi) in enumerate(samples):
-        if yi == 0:
-            continue
-        basis = UnivariatePoly([1])
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(samples):
-            if i == j:
-                continue
-            basis = basis * UnivariatePoly([-xj, 1])
-            denom *= xi - xj
-        total = total + basis.scale(yi / denom)
-    return total
+def _y_columns(f: BivariatePoly) -> tuple[list[list[int]], int]:
+    """f's y-coefficients as integer polynomials in x, and the common
+    denominator they were scaled by."""
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    cols = [[0] * (f.total_degree() + 1) for _ in range(f.y_degree() + 1)]
+    for (i, j), c in f.coeffs.items():
+        cols[j][i] = c.numerator * (den // c.denominator)
+    return cols, den
 
 
-def _det_fraction(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss 1968); every division is exact."""
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        pivot, top = rows[k][k], rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1]
 
 
 def sylvester_resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
     """Resultant of f and g with respect to y, as a polynomial in x.
 
-    Computed by evaluating the Sylvester determinant at enough x values and
-    interpolating, which avoids determinants with polynomial entries. Both
+    Denominators are cleared once. The integer Sylvester determinant is taken
+    by Bareiss elimination at x = 0..D, with D = deg f * deg g the Bezout
+    bound on its degree, and the polynomial is rebuilt from the samples'
+    forward differences (Newton), with one final exact division. Both
     y-leading coefficients must be nonzero constants (shear the inputs first
     when necessary) so one fixed matrix shape is valid at every sample.
     """
-    fc = f.y_coefficients()
-    gc = g.y_coefficients()
+    (fc, fden), (gc, gden) = _y_columns(f), _y_columns(g)
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise ValueError("both polynomials must involve y")
-    if fc[-1].degree != 0 or gc[-1].degree != 0:
+    if any(fc[-1][1:]) or any(gc[-1][1:]):
         raise ValueError("y-leading coefficients must be constants; shear first")
-    deg_bound = sum(max(p.degree, 0) for p in fc) + sum(max(p.degree, 0) for p in gc)
-    size = n + m
-    samples: list[tuple[Fraction, Fraction]] = []
-    for k in range(deg_bound + 1):
-        x0 = Fraction(k)
-        frow = [p.evaluate(x0) for p in reversed(fc)]
-        grow = [p.evaluate(x0) for p in reversed(gc)]
-        matrix = []
-        for shift in range(m):
-            row = [Fraction(0)] * size
-            row[shift : shift + n + 1] = frow
-            matrix.append(row)
-        for shift in range(n):
-            row = [Fraction(0)] * size
-            row[shift : shift + m + 1] = grow
-            matrix.append(row)
-        samples.append((x0, _det_fraction(matrix)))
-    return lagrange_interpolate(samples)
+    bound = f.total_degree() * g.total_degree()
+    values = []
+    for x in range(bound + 1):
+        frow = [_value(col, x) for col in reversed(fc)]
+        grow = [_value(col, x) for col in reversed(gc)]
+        rows = [[0] * s + frow + [0] * (m - 1 - s) for s in range(m)]
+        rows += [[0] * s + grow + [0] * (n - 1 - s) for s in range(n)]
+        values.append(_bareiss(rows))
+    # bound! * Res = sum over k of (k-th difference at 0) * bound!/k! * x(x-1)...(x-k+1)
+    fact = scale = math.factorial(bound)
+    total, falling = [0] * (bound + 1), [1]
+    for k in range(bound + 1):
+        for i, c in enumerate(falling):
+            total[i] += values[0] * scale * c
+        values = [b - a for a, b in zip(values, values[1:])]
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+        scale //= k + 1
+    if any(c % fact for c in total):
+        raise InvariantViolation("interpolated resultant is not integral")
+    return UnivariatePoly(Fraction(c // fact, fden**m * gden**n) for c in total)

@@ -1,5 +1,6 @@
 """Match-curve derivation, asymptotes, reconstruction, intersection bounds."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -13,6 +14,7 @@ import equiarea
 from equiarea.curves import (
     AmbiguousMedian,
     BivariateCubic,
+    CurveError,
     CurveTag,
     DegenerateTriple,
     InfiniteSharedComponent,
@@ -26,6 +28,7 @@ from equiarea.curves import (
     curve_intersection_bound,
     has_linear_factor,
     leading_form_factors,
+    make_bundle,
     match_curve,
     random_general_position_pair,
     random_point_on_line_pair,
@@ -69,6 +72,11 @@ def partner_matching(rng, x, y, w):
 
 
 class TestBundle:
+    def test_changed_l6_is_rejected(self):
+        bundle = make_bundle(P1, P2)
+        with pytest.raises(CurveError):
+            dataclasses.replace(bundle, L6=bundle.L6.shifted(F(1)))
+
     def test_worked_example_forms(self):
         bundle = match_curve(P1, P2).bundle
         assert bundle.L1 == LinearForm(0, 1, 0)
@@ -453,8 +461,16 @@ class TestConvergenceProbe:
             asymptote_convergence_probe(curve, Line(1, 1, 7), [1000])
 
 
-def test_mpmath_is_imported_only_when_the_probe_runs():
+def test_probe_runs_without_mpmath():
     env = {**os.environ, "PYTHONPATH": str(Path(equiarea.__file__).parents[1])}
-    code = "import sys, equiarea, equiarea.cli; print('mpmath' in sys.modules)"
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from equiarea.curves import asymptote_convergence_probe, match_curve\n"
+        "from equiarea.geometry import Line\n"
+        "from equiarea.matching import IncidencePairParam as P\n"
+        "curve = match_curve(P.from_triple(0, 0, 0), P.from_triple(1, 2, 1)).curve\n"
+        "print(*asymptote_convergence_probe(curve, Line(0, 1, 0), [10**3, 10**6]))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    first, last = map(float, out.stdout.split())
+    assert first > last and last < 1e-4
