@@ -100,9 +100,6 @@ class LinearForm:
     def as_line(self) -> Line:
         return Line(self.cx, self.cy, self.c0)
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction]:
-        return self.cx, self.cy, self.c0
-
     def shifted(self, delta: Fraction) -> "LinearForm":
         return LinearForm(self.cx, self.cy, self.c0 + delta)
 
@@ -134,11 +131,13 @@ class LinearFormBundle:
     def __post_init__(self) -> None:
         # L1*L4 - L2*L5, coefficient by coefficient: its quadratic part must
         # cancel and its linear part must be L6 = D*x + E*y + F.
-        (a1, b1, c1), (a2, b2, c2) = self.L1.coefficients(), self.L2.coefficients()
-        (a4, b4, c4), (a5, b5, c5) = self.L4.coefficients(), self.L5.coefficients()
+        a1, b1, c1 = self.L1.cx, self.L1.cy, self.L1.c0
+        a2, b2, c2 = self.L2.cx, self.L2.cy, self.L2.c0
+        a4, b4, c4 = self.L4.cx, self.L4.cy, self.L4.c0
+        a5, b5, c5 = self.L5.cx, self.L5.cy, self.L5.c0
         quadratic = (a1 * a4 - a2 * a5, a1 * b4 + b1 * a4 - a2 * b5 - b2 * a5, b1 * b4 - b2 * b5)
         linear = (a1 * c4 + c1 * a4 - a2 * c5 - c2 * a5, b1 * c4 + c1 * b4 - b2 * c5 - c2 * b5, c1 * c4 - c2 * c5)
-        if any(quadratic) or linear != self.L6.coefficients() or linear != (self.D, self.E, self.F):
+        if any(quadratic) or linear != (self.L6.cx, self.L6.cy, self.L6.c0) or linear != (self.D, self.E, self.F):
             raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
 
 

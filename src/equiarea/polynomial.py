@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .geometry import InvariantViolation
@@ -50,13 +49,12 @@ class UnivariatePoly:
         return f"UnivariatePoly({list(self.coeffs)!r})"
 
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        return UnivariatePoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
-
-    def __neg__(self) -> "UnivariatePoly":
-        return UnivariatePoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        return self + (-other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UnivariatePoly(
+            (self.coeffs[i] if i < len(self.coeffs) else 0)
+            + (other.coeffs[i] if i < len(other.coeffs) else 0)
+            for i in range(n)
+        )
 
     def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         if self.is_zero() or other.is_zero():
@@ -78,9 +76,6 @@ class UnivariatePoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
     def divmod(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
         if other.is_zero():
@@ -320,7 +315,12 @@ class BivariatePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[tuple[int, int], Fraction | int] | None = None):
-        self.coeffs = {key: v for key, val in (coeffs or {}).items() if (v := Fraction(val)) != 0}
+        cleaned: dict[tuple[int, int], Fraction] = {}
+        for key, val in (coeffs or {}).items():
+            v = Fraction(val)
+            if v != 0:
+                cleaned[key] = v
+        self.coeffs = cleaned
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -375,21 +375,31 @@ class BivariatePoly:
         return BivariatePoly({key: v * k for key, v in self.coeffs.items()})
 
     def total_degree(self) -> int:
-        return max((i + j for i, j in self.coeffs), default=-1)
+        if not self.coeffs:
+            return -1
+        return max(i + j for i, j in self.coeffs)
 
     def homogeneous_part(self, d: int) -> "BivariatePoly":
         return BivariatePoly({k: v for k, v in self.coeffs.items() if k[0] + k[1] == d})
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         x, y = Fraction(x), Fraction(y)
-        return sum((c * x**i * y**j for (i, j), c in self.coeffs.items()), Fraction(0))
+        total = Fraction(0)
+        for (i, j), c in self.coeffs.items():
+            total += c * x**i * y**j
+        return total
 
     def substitute(self, px: "BivariatePoly", py: "BivariatePoly") -> "BivariatePoly":
         """Compose: self(px(u, v), py(u, v))."""
-        xpow, ypow = [BivariatePoly.constant(1)], [BivariatePoly.constant(1)]
-        for _ in range(max((i for i, _ in self.coeffs), default=0)):
+        if not self.coeffs:
+            return BivariatePoly.zero()
+        max_i = max(i for i, _ in self.coeffs)
+        max_j = max(j for _, j in self.coeffs)
+        xpow = [BivariatePoly.constant(1)]
+        for _ in range(max_i):
             xpow.append(xpow[-1] * px)
-        for _ in range(self.y_degree()):
+        ypow = [BivariatePoly.constant(1)]
+        for _ in range(max_j):
             ypow.append(ypow[-1] * py)
         out = BivariatePoly.zero()
         for (i, j), c in self.coeffs.items():
@@ -403,12 +413,15 @@ class BivariatePoly:
         )
 
     def y_degree(self) -> int:
-        return max((j for _, j in self.coeffs), default=-1)
+        if not self.coeffs:
+            return -1
+        return max(j for _, j in self.coeffs)
 
     def section_at_x(self, x0: Fraction | int) -> UnivariatePoly:
         """The univariate slice f(x0, y)."""
         x0 = Fraction(x0)
-        vals = [Fraction(0)] * (self.y_degree() + 1)
+        dy = self.y_degree()
+        vals = [Fraction(0)] * (dy + 1 if dy >= 0 else 0)
         for (i, j), c in self.coeffs.items():
             vals[j] += c * x0**i
         return UnivariatePoly(vals)

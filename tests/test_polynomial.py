@@ -288,10 +288,15 @@ class TestResultantDegreeBound:
 
 
 # ---------------------------------------------------------------------------
-# Differential tests against sympy and the Fraction oracle.
+# Differential tests against sympy and the Fraction oracle. Only these need
+# sympy; everything above runs without it.
 
-sympy = pytest.importorskip("sympy")
-X, Y = sympy.symbols("x y")
+try:
+    import sympy
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+X, Y = sympy.symbols("x y") if sympy else (None, None)
 
 SMALL = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 1, 2, 3, 7]))
 COEFF = st.one_of(SMALL, SMALL, st.sampled_from([F(BIG), F(-BIG), F(BIG, 3), F(-7, BIG)]))
@@ -349,6 +354,7 @@ def sympy_rational_roots(p: UnivariatePoly) -> list[tuple[F, int]]:
     return sorted(roots)
 
 
+@needs_sympy
 class TestAgainstSympy:
     @ORACLES
     @given(univariates())
@@ -398,6 +404,7 @@ def oracle_intersection(f: BivariateCubic, g: BivariateCubic) -> tuple[int, tupl
     return upper, tuple(sorted(p for p in points if f.evaluate(p.x, p.y) == 0 == g.evaluate(p.x, p.y)))
 
 
+@needs_sympy
 @pytest.mark.parametrize("seed", [2, 3])
 def test_intersection_bound_matches_oracle_on_scan_pairs(seed):
     for index in range(60):
