@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,14 +33,22 @@ from .geometry import (
 from .incidence import incidence_pairs
 from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
+    MONOMIALS,
     BivariatePoly,
     UnivariatePoly,
+    cleared,
     count_real_roots,
+    cubic_value,
+    form_value,
     nearest_real_root,
+    on_line,
     poly_gcd,
+    rational_factors,
     rational_roots,
-    rational_roots_with_multiplicity,
+    substitute,
     sylvester_resultant_y,
+    times_linear,
+    x_section,
 )
 
 
@@ -93,9 +100,6 @@ class LinearForm:
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         return self.cx * Fraction(x) + self.cy * Fraction(y) + self.c0
-
-    def poly(self) -> BivariatePoly:
-        return BivariatePoly.linear(self.cx, self.cy, self.c0)
 
     def as_line(self) -> Line:
         return Line(self.cx, self.cy, self.c0)
@@ -149,15 +153,6 @@ class CurveTag(Enum):
     UNDEFINED = "undefined"
 
 
-# Graded-lex descending monomial order; also the canonical sign-rule order.
-MONOMIALS: tuple[tuple[int, int], ...] = (
-    (3, 0), (2, 1), (1, 2), (0, 3),
-    (2, 0), (1, 1), (0, 2),
-    (1, 0), (0, 1),
-    (0, 0),
-)
-
-
 @dataclass(frozen=True)
 class BivariateCubic:
     """Dense degree <= 3 polynomial, normalized to primitive integers.
@@ -178,15 +173,15 @@ class BivariateCubic:
             raise ValueError("zero polynomial is not a curve")
         if p.total_degree() > 3:
             raise ValueError("degree exceeds 3")
-        vals = [p.coeff(i, j) for i, j in MONOMIALS]
-        den = math.lcm(*(v.denominator for v in vals))
-        ints = [int(v * den) for v in vals]
+        return cls.from_ints(cleared(p.coeff(i, j) for i, j in MONOMIALS)[0])
+
+    @classmethod
+    def from_ints(cls, ints: Sequence[int]) -> "BivariateCubic":
+        """The curve of an integer coefficient vector in MONOMIALS order."""
         g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        first = next(c for c in ints if c != 0)
-        if first < 0:
-            ints = [-c for c in ints]
-        return cls(tuple(ints))
+        if g and next(c for c in ints if c) < 0:
+            g = -g
+        return cls(tuple(c // g for c in ints) if g else tuple(ints))
 
     def coeff(self, i: int, j: int) -> int:
         return self.coeffs[MONOMIALS.index((i, j))]
@@ -195,10 +190,11 @@ class BivariateCubic:
         return BivariatePoly({m: c for m, c in zip(MONOMIALS, self.coeffs) if c != 0})
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
-        return self.poly().evaluate(x, y)
+        (xn, yn), w = cleared((Fraction(x), Fraction(y)))
+        return Fraction(cubic_value(self.coeffs, xn, yn, w), w**3)
 
     def total_degree(self) -> int:
-        return self.poly().total_degree()
+        return next(i + j for (i, j), c in zip(MONOMIALS, self.coeffs) if c)
 
     def coefficient_list(self) -> list[list]:
         """JSON form: [[i, j, "coeff"], ...] for nonzero monomials in canonical order."""
@@ -266,12 +262,16 @@ def match_curve(p1: IncidencePairParam, p2: IncidencePairParam) -> CurveCase:
     if p1.line == p2.line:
         return CurveCase(CurveTag.UNDEFINED, None, None)
     bundle = make_bundle(p1, p2)
-    poly = (
-        bundle.L1.poly() * bundle.L2.poly() * bundle.L3.poly()
-        + bundle.L6.poly().scale(2)
-        + BivariatePoly.constant(4 * bundle.C)
-    )
-    curve = BivariateCubic.from_poly(poly)
+    # With every form cleared by one denominator w, w^3 times the curve is
+    # (w*L1)(w*L2)(w*L3) + w^2 * (2*(w*L6) + 4*(w*C)).
+    forms = (bundle.L1, bundle.L2, bundle.L3, bundle.L6)
+    ints, w = cleared([v for form in forms for v in (form.cx, form.cy, form.c0)] + [bundle.C])
+    l1, l2, l3, l6 = ints[0:3], ints[3:6], ints[6:9], ints[9:12]
+    product = times_linear(times_linear([0] * 7 + l1, *l2), *l3)
+    for k, c in zip((7, 8, 9), l6):
+        product[k] += 2 * w * w * c
+    product[9] += 4 * w * w * ints[12]
+    curve = BivariateCubic.from_ints(product)
     if p1.line.contains(p2.point):
         tag = CurveTag.POINT_ON_LINE_1
     elif p2.line.contains(p1.point):
@@ -309,11 +309,6 @@ class LeadingFormFactors:
     remainder: BivariatePoly | None
 
 
-def _homogenize(p: UnivariatePoly, degree: int) -> BivariatePoly:
-    # sum c_i x^i y^(degree - i)
-    return BivariatePoly({(i, degree - i): c for i, c in enumerate(p.coeffs)})
-
-
 def leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
     """Split the leading form into rational linear factors with multiplicity.
 
@@ -321,79 +316,60 @@ def leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
     remainder (for our generated curves this never occurs; the factorization
     is rational by construction).
     """
-    fpoly = cubic.poly()
-    d = fpoly.total_degree()
-    top = fpoly.homogeneous_part(d)
-    # Restrict to y = 1; the lost factor is a power of y.
-    profile = UnivariatePoly([top.coeff(i, d - i) for i in range(d + 1)])
-    y_mult = d - profile.degree
-    factors: list[tuple[Line, int]] = []
-    if y_mult > 0:
-        factors.append((Line(0, 1, 0), y_mult))
-    work = profile
-    for root, mult in rational_roots_with_multiplicity(profile):
-        factors.append((Line(root.denominator, -root.numerator, 0), mult))
-        divisor = UnivariatePoly([-root, 1])
-        for _ in range(mult):
-            work, rem = work.divmod(divisor)
-            if not rem.is_zero():
-                raise InvariantViolation(f"root {root} of the leading form left a remainder")
+    d = cubic.total_degree()
+    start = (9, 7, 4, 0)[d]  # the first MONOMIALS slot of degree d
+    # Restrict to y = 1, low x-degree first; the lost factor is a power of y.
+    profile = list(cubic.coeffs[start:start + d + 1][::-1])
+    while not profile[-1]:
+        profile.pop()
+    y_mult = d + 1 - len(profile)
+    factors: list[tuple[Line, int]] = [(Line(0, 1, 0), y_mult)] if y_mult else []
+    roots, rest = rational_factors(profile)
     remainder: BivariatePoly | None = None
-    product = BivariatePoly.constant(1)
-    for line, mult in factors:
-        form = BivariatePoly.linear(line.A, line.B, 0)
+    product = [1]
+    if len(rest) > 1:
+        product = [c if rest[-1] > 0 else -c for c in rest]
+        remainder = BivariatePoly({(i, len(rest) - 1 - i): c for i, c in enumerate(product)})
+    for root, mult in roots:
+        factors.append((Line(root.denominator, -root.numerator, 0), mult))
         for _ in range(mult):
-            product = product * form
-    if work.degree >= 1:
-        rem_int = work.primitive()
-        if rem_int.coeffs[-1] < 0:
-            rem_int = rem_int.scale(-1)
-        remainder = _homogenize(rem_int, work.degree)
-        product = product * remainder
-    key = next(iter(product.coeffs))
-    scale = top.coeff(*key) / product.coeff(*key)
-    if product.scale(scale) != top:
+            product = [root.denominator * lo - root.numerator * hi for lo, hi in zip([0, *product], [*product, 0])]
+    if len(product) != len(profile) or any(a * product[-1] != b * profile[-1] for a, b in zip(profile, product)):
         raise InvariantViolation("leading-form factors do not multiply back to the leading form")
     factors.sort()
-    return LeadingFormFactors(scale, tuple(factors), remainder)
+    return LeadingFormFactors(Fraction(profile[-1], product[-1]), tuple(factors), remainder)
 
 
-def _simple_asymptote(fpoly: BivariatePoly, direction: Line) -> Line:
+def _simple_asymptote(f: Sequence[int], direction: Line) -> Line:
     """Asymptote parallel to a simple rational factor of the leading form.
 
-    With f = u*q + f2 + lower (u the factor, q its cofactor) the offset is
-    c = f2(d) / q(d) at the direction d annihilated by u, giving u + c = 0.
+    With f = u*q + f2 + lower (u = A*x + B*y the factor, q its cofactor) the
+    offset is c = f2(d) / q(d) at the direction d = (B, -A) annihilated by u,
+    giving u + c = 0. Since grad f3(d) = q(d) * (A, B), q(d) * (A^2 + B^2) is
+    grad f3(d) . (A, B), with no division by u.
     """
-    d = fpoly.total_degree()
-    top = fpoly.homogeneous_part(d)
-    q, rem = top.divide_by_linear(direction.A, direction.B, 0)
-    if not rem.is_zero():
+    a, b = direction.A, direction.B
+    c0, c1, c2, c3 = f[:4]
+    if form_value(f[:4], b, -a):
         raise InvariantViolation(f"{direction} does not divide the leading form")
-    dx, dy = Fraction(direction.B), Fraction(-direction.A)
-    qd = q.evaluate(dx, dy)
+    # q(d) * (A^2 + B^2), from the partial derivatives of f3 at d.
+    qd = a * form_value((3 * c0, 2 * c1, c2), b, -a) + b * form_value((c1, 2 * c2, 3 * c3), b, -a)
     if qd == 0:
         raise NonSimpleFactorUnsupported("offset formula needs a simple factor")
-    c = fpoly.homogeneous_part(d - 1).evaluate(dx, dy) / qd
-    return Line(direction.A, direction.B, c)
+    return Line(a * qd, b * qd, form_value(f[4:7], b, -a) * (a * a + b * b))
 
 
-def _in_factor_frame(
-    fpoly: BivariatePoly, u: tuple[Fraction, Fraction, Fraction], v: tuple[Fraction, Fraction, Fraction]
-) -> BivariatePoly:
-    """Rewrite f in affine coordinates (U, V) = (u(x,y), v(x,y))."""
+def _in_factor_frame(f: Sequence[int], u: tuple[int, int, int], v: tuple[int, int, int]) -> list[int]:
+    """f in affine coordinates (U, V) = (u(x,y), v(x,y)), times det^3."""
     a1, b1, c1 = u
     a2, b2, c2 = v
     det = a1 * b2 - a2 * b1
     if det == 0:
         raise CurveError("frame forms are parallel")
-    px = BivariatePoly({(1, 0): b2 / det, (0, 1): -b1 / det, (0, 0): (b1 * c2 - b2 * c1) / det})
-    py = BivariatePoly({(1, 0): -a2 / det, (0, 1): a1 / det, (0, 0): (a2 * c1 - a1 * c2) / det})
-    return fpoly.substitute(px, py)
+    return substitute(f, (b2, -b1, b1 * c2 - b2 * c1), (-a2, a1, a2 * c1 - a1 * c2), det)
 
 
-def _double_factor_asymptotes(
-    fpoly: BivariatePoly, double: Line, simple: Line
-) -> tuple[Line, Line]:
+def _double_factor_asymptotes(f: Sequence[int], double: Line, simple: Line) -> tuple[Line, Line]:
     """Asymptotes when the leading form is (double)^2 * (simple).
 
     The simple factor's asymptote comes from the offset formula. Writing f in
@@ -401,26 +377,20 @@ def _double_factor_asymptotes(
     exactly the shape g*(U+c)^2*V + h*U + const; the double asymptote is
     U + c = 0 with c read off the U*V coefficient.
     """
-    v_line = _simple_asymptote(fpoly, simple)
-    F = _in_factor_frame(
-        fpoly,
-        (Fraction(double.A), Fraction(double.B), Fraction(0)),
-        (Fraction(v_line.A), Fraction(v_line.B), Fraction(v_line.C)),
-    )
-    allowed = {(2, 1), (1, 1), (0, 1), (1, 0), (0, 0)}
-    if any(key not in allowed for key in F.coeffs):
+    v_line = _simple_asymptote(f, simple)
+    F = _in_factor_frame(f, (double.A, double.B, 0), (v_line.A, v_line.B, v_line.C))
+    # Slots of U^3, U V^2, V^3, U^2 and V^2; the shape allows none of them.
+    if any(F[k] for k in (0, 2, 3, 4, 6)):
         raise NonSimpleFactorUnsupported("not the squared-line curve shape")
-    g = F.coeff(2, 1)
+    g, guv, gv, h, const = F[1], F[5], F[8], F[7], F[9]
     if g == 0:
         raise NonSimpleFactorUnsupported("degenerate squared-line shape")
-    c = F.coeff(1, 1) / (2 * g)
-    if F.coeff(0, 1) != g * c * c:
+    # c = guv / (2g), and the V coefficient must be g*c^2.
+    if 4 * g * gv != guv * guv:
         raise NonSimpleFactorUnsupported("squared-line shape check failed")
-    h = F.coeff(1, 0)
-    const = F.coeff(0, 0) - h * c
     if h == 0 and const == 0:
         raise NonSimpleFactorUnsupported("curve degenerates to its double line")
-    return Line(double.A, double.B, c), v_line
+    return Line(2 * g * double.A, 2 * g * double.B, guv), v_line
 
 
 def asymptotes(cubic: BivariateCubic) -> list[Line]:
@@ -430,8 +400,8 @@ def asymptotes(cubic: BivariateCubic) -> list[Line]:
     via the squared-line normal form. Triple factors and shapes outside those
     two are refused rather than guessed.
     """
-    fpoly = cubic.poly()
-    if fpoly.total_degree() != 3:
+    f = cubic.coeffs
+    if not any(f[:4]):
         raise NonSimpleFactorUnsupported("asymptote analysis needs a cubic")
     lf = leading_form_factors(cubic)
     mults = sorted(m for _, m in lf.factors)
@@ -442,12 +412,16 @@ def asymptotes(cubic: BivariateCubic) -> list[Line]:
         simples = [line for line, m in lf.factors if m == 1]
         if len(doubles) != 1 or len(simples) != 1:
             raise NonSimpleFactorUnsupported("unsupported repeated-factor shape")
-        d_line, s_line = _double_factor_asymptotes(fpoly, doubles[0], simples[0])
+        d_line, s_line = _double_factor_asymptotes(f, doubles[0], simples[0])
         return sorted([d_line, s_line])
     simples = [line for line, m in lf.factors if m == 1]
     if not simples:
         raise NonSimpleFactorUnsupported("no rational linear factor in the leading form")
-    return sorted(_simple_asymptote(fpoly, line) for line in simples)
+    return sorted(_simple_asymptote(f, line) for line in simples)
+
+
+# Slots of U^i V^j for i = 0..3-j, one tuple per j.
+_V_COLUMNS = tuple(tuple(MONOMIALS.index((i, j)) for i in range(4 - j)) for j in range(4))
 
 
 def has_linear_factor(cubic: BivariateCubic) -> Line | None:
@@ -458,38 +432,19 @@ def has_linear_factor(cubic: BivariateCubic) -> Line | None:
     offset is solved exactly by requiring the substituted polynomial to vanish
     identically.
     """
-    fpoly = cubic.poly()
     lf = leading_form_factors(cubic)
     for direction, _ in lf.factors:
         a, b = direction.A, direction.B
-        if a != 0:
-            frame_v = (Fraction(0), Fraction(1), Fraction(0))
-        else:
-            frame_v = (Fraction(1), Fraction(0), Fraction(0))
-        F = _in_factor_frame(fpoly, (Fraction(a), Fraction(b), Fraction(0)), frame_v)
-        # (U + c) divides F  iff  F(-c, V) == 0 identically: collect, per power
-        # of V, the coefficient as a polynomial in c and intersect their roots.
-        per_v: dict[int, dict[int, Fraction]] = {}
-        for (i, j), coeff in F.coeffs.items():
-            per_v.setdefault(j, {})[i] = coeff * (-1) ** i
-        polys = []
-        for j in sorted(per_v):
-            col = per_v[j]
-            polys.append(UnivariatePoly([col.get(i, Fraction(0)) for i in range(max(col) + 1)]))
-        polys = [p for p in polys if not p.is_zero()]
-        if not polys:
-            return direction
-        if any(p.degree == 0 for p in polys):
+        F = _in_factor_frame(cubic.coeffs, (a, b, 0), (0, 1, 0) if a else (1, 0, 0))
+        # (U + c) divides F  iff  F(-c, V) == 0 identically: per power of V,
+        # the coefficient is a polynomial in c, and c is a common root.
+        polys = [p for p in ([F[k] * (-1) ** i for i, k in enumerate(col)] for col in _V_COLUMNS) if any(p)]
+        if any(not any(p[1:]) for p in polys):
             continue
-        candidates = rational_roots(polys[0])
-        for c in candidates:
-            if all(p.evaluate(c) == 0 for p in polys[1:]):
-                return Line(a, b, c)
+        for c in rational_roots(UnivariatePoly(polys[0])):
+            if not any(x_section(F, -c.numerator, c.denominator)):
+                return Line(a * c.denominator, b * c.denominator, c.numerator)
     return None
-
-
-def _line_poly(line: Line) -> BivariatePoly:
-    return BivariatePoly.linear(line.A, line.B, line.C)
 
 
 def _midpoint(p: Point, q: Point) -> Point:
@@ -510,17 +465,16 @@ def reconstruct_generators(
     the two parallel forms through the first point, and everything else
     follows. The result is verified by regenerating the curve.
     """
-    fpoly = cubic.poly()
-    if fpoly.total_degree() != 3:
+    if not any(cubic.coeffs[:4]):
         raise NotAMatchCurve("match curves are cubic")
     lf = leading_form_factors(cubic)
     mults = sorted(m for _, m in lf.factors)
     if 3 in mults:
         raise NonSimpleFactorUnsupported("triple linear factor")
     if 2 in mults:
-        pair = _reconstruct_squared_line(cubic, fpoly, lf)
+        pair = _reconstruct_squared_line(cubic.coeffs, lf)
     else:
-        pair = _reconstruct_general(cubic, fpoly, lf)
+        pair = _reconstruct_general(cubic.coeffs, lf)
     regenerated = match_curve(pair[0], pair[1])
     if regenerated.curve != cubic:
         raise NotAMatchCurve("curve is not generated by any incidence pair")
@@ -534,22 +488,21 @@ def _sorted_pair(
 
 
 def _reconstruct_general(
-    cubic: BivariateCubic, fpoly: BivariatePoly, lf: LeadingFormFactors
+    f: Sequence[int], lf: LeadingFormFactors
 ) -> tuple[IncidencePairParam, IncidencePairParam]:
     if lf.remainder is not None or len(lf.factors) != 3:
         raise NonSimpleFactorUnsupported("leading form does not split into three lines")
-    asys = [_simple_asymptote(fpoly, line) for line, _ in lf.factors]
-    product = _line_poly(asys[0]) * _line_poly(asys[1]) * _line_poly(asys[2])
+    asys = [_simple_asymptote(f, line) for line, _ in lf.factors]
+    product = [0] * 7 + [asys[0].A, asys[0].B, asys[0].C]
+    for line in asys[1:]:
+        product = times_linear(product, line.A, line.B, line.C)
     # The asymptote product matches the curve's cubic part up to one constant
-    # (canonical lines may rescale each form, so read the constant off the
-    # actual leading coefficients rather than the factorization's scale).
-    prod3 = product.homogeneous_part(3)
-    key = next(iter(prod3.coeffs))
-    nu = fpoly.coeff(*key) / prod3.coeff(*key)
-    rest = fpoly - product.scale(nu)
-    if rest.total_degree() > 1:
+    # nu = f[k] / product[k]; rest is f - nu * product, times product[k].
+    k = next(k for k in range(4) if product[k])
+    rest = [product[k] * c - f[k] * p for c, p in zip(f, product)]
+    if any(rest[:7]):
         raise NotAMatchCurve("asymptote product does not linearize the cubic")
-    rx, ry = rest.coeff(1, 0), rest.coeff(0, 1)
+    rx, ry = rest[7], rest[8]
     if rx == 0 and ry == 0:
         raise NotAMatchCurve("no median direction left after linearization")
     # Vertices of the asymptote triangle; vertex[i] avoids asymptote i.
@@ -588,23 +541,23 @@ def _reconstruct_general(
 
 
 def _reconstruct_squared_line(
-    cubic: BivariateCubic, fpoly: BivariatePoly, lf: LeadingFormFactors
+    f: Sequence[int], lf: LeadingFormFactors
 ) -> tuple[IncidencePairParam, IncidencePairParam]:
     doubles = [line for line, m in lf.factors if m == 2]
     simples = [line for line, m in lf.factors if m == 1]
     if len(doubles) != 1 or len(simples) != 1:
         raise NonSimpleFactorUnsupported("unsupported repeated-factor shape")
-    line1, line2 = _double_factor_asymptotes(fpoly, doubles[0], simples[0])
+    line1, line2 = _double_factor_asymptotes(f, doubles[0], simples[0])
     if line1.is_vertical or line2.is_vertical:
         raise NotAMatchCurve("generator line would be vertical")
     k1, k2 = line1.slope(), line2.slope()
     # Unit-y-coefficient forms match the parametrized forms exactly.
     form1 = LinearForm(Fraction(line1.A, line1.B), Fraction(1), Fraction(line1.C, line1.B))
-    # The curve meets the simple asymptote in a single point.
-    section = fpoly.restrict_to_line(k2, Fraction(-line2.C, line2.B))
-    if section.degree != 1:
+    # The curve meets the simple asymptote, x = t and B*y = -A*t - C, once.
+    section = on_line(f, (0, line2.B), (-line2.C, -line2.A), line2.B)
+    if len(section) != 2:
         raise NotAMatchCurve("curve does not meet the simple asymptote once")
-    x0 = -section.coeffs[0] / section.coeffs[1]
+    x0 = Fraction(-section[0], section[1])
     y0 = k2 * x0 - Fraction(line2.C, line2.B)
     val = form1.evaluate(x0, y0)
     if val == 0:
@@ -635,21 +588,20 @@ def curve_intersection_bound(f: BivariateCubic, g: BivariateCubic) -> CurveInter
     """
     if f == g:
         raise InfiniteSharedComponent("identical curves")
-    fp, gp = f.poly(), g.poly()
-    if fp.total_degree() != 3 or gp.total_degree() != 3:
+    fc, gc = f.coeffs, g.coeffs
+    if not any(fc[:4]) or not any(gc[:4]):
         raise ValueError("intersection bound expects two cubics")
-    f3, g3 = fp.homogeneous_part(3), gp.homogeneous_part(3)
     t = 0
-    while f3.evaluate(t, 1) == 0 or g3.evaluate(t, 1) == 0:
+    while form_value(fc[:4], t, 1) == 0 or form_value(gc[:4], t, 1) == 0:
         t += 1
-    fs, gs = fp.shear_x(t), gp.shear_x(t)
-    resultant = sylvester_resultant_y(fs, gs)
+    fs, gs = (substitute(c, (1, t, 0), (0, 1, 0)) for c in (fc, gc))
+    resultant = sylvester_resultant_y(*(BivariatePoly(dict(zip(MONOMIALS, c))) for c in (fs, gs)))
     if resultant.is_zero():
         raise InfiniteSharedComponent("curves share a component")
     upper = count_real_roots(resultant)
     points = set()
     for x0 in rational_roots(resultant):
-        common = poly_gcd(fs.section_at_x(x0), gs.section_at_x(x0))
+        common = poly_gcd(*(UnivariatePoly(x_section(c, x0.numerator, x0.denominator)) for c in (fs, gs)))
         for y0 in rational_roots(common):
             candidate = Point(x0 + t * y0, y0)
             if f.evaluate(candidate.x, candidate.y) == 0 and g.evaluate(candidate.x, candidate.y) == 0:
@@ -718,28 +670,24 @@ def asymptote_convergence_probe(
     """
     if line not in asymptotes(cubic):
         raise ValueError(f"{line} is not an asymptote of the curve")
-    fpoly = cubic.poly()
-    a, b, c = line.A, line.B, line.C
-    if b != 0:
-        base = Point(Fraction(0), Fraction(-c, b))
-    else:
-        base = Point(Fraction(-c, a), Fraction(0))
-    norm = math.hypot(a, b)
+    norm = math.hypot(line.A, line.B)
     out = []
     for tau in xs:
-        tau = Fraction(tau)
-        qx = base.x + tau * b
-        qy = base.y - tau * a
-        section = fpoly.substitute(
-            BivariatePoly({(1, 0): Fraction(a), (0, 0): qx}),
-            BivariatePoly({(1, 0): Fraction(b), (0, 0): qy}),
-        )
-        deg = max((i for i, _ in section.coeffs), default=-1)
-        sigma = nearest_real_root(UnivariatePoly([section.coeff(i, 0) for i in range(deg + 1)]), PROBE_WIDTH)
+        sigma = nearest_real_root(UnivariatePoly(_probe_section(cubic, line, tau)), PROBE_WIDTH)
         if sigma is None:
             raise NoBranch(f"no real branch at sample {tau}")
         out.append(float(abs(sigma)) * norm)
     return out
+
+
+def _probe_section(cubic: BivariateCubic, line: Line, tau: Fraction | int) -> tuple[int, ...]:
+    """The curve along the normal to `line` at parameter tau along it, as a
+    primitive polynomial in the normal coordinate sigma: f(q + sigma*(A, B))
+    with q = base + tau*(B, -A) and base the line's point on an axis."""
+    a, b, c, tau = line.A, line.B, line.C, Fraction(tau)
+    base = (Fraction(0), Fraction(-c, b)) if b != 0 else (Fraction(-c, a), Fraction(0))
+    (qx, qy), w = cleared((base[0] + tau * b, base[1] - tau * a))
+    return on_line(cubic.coeffs, (qx, a * w), (qy, b * w), w)
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +821,9 @@ def _run_scan(kind: str, trials: int, seed: int, threads: int) -> ScanReport:
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     max_value = 0
     violations = 0
+    # Imported here: the pool loads multiprocessing, which nothing else needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         for mv, vi in pool.map(_scan_chunk_star, [(kind, seed, lo, hi) for lo, hi in ranges]):
             max_value = max(max_value, mv)

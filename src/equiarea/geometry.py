@@ -66,7 +66,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     """Immutable exact point; orders lexicographically by (x, y)."""
 
@@ -81,7 +81,7 @@ class Point:
         return f"{self.x} {self.y}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Line:
     """A*x + B*y + C = 0 in canonical form.
 

@@ -46,7 +46,7 @@ class DegenerateTriangle(GeometryError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IncidencePairParam:
     """A (line, point-on-line) pair as the triple (a, b, kappa).
 

@@ -3,9 +3,12 @@
 Univariate: arithmetic on Fraction coefficients; gcd, squarefree part, Sturm
 real-root counting, rational roots and root isolation on primitive integer
 coefficient tuples (signed pseudo-remainders, homogeneous Horner signs at
-dyadic points, no integer factoring). Bivariate: dense-dict arithmetic,
-substitution, homogeneous parts, and the Sylvester resultant in y by Bareiss
-elimination at integer samples plus Newton interpolation.
+dyadic points, no integer factoring). Bivariate: a cubic kit on 10 integer
+coefficients in MONOMIALS order (products with linear forms, affine
+substitution scaled by the cube of its denominator, sections and values
+homogeneous in a denominator), and the Sylvester resultant in y by Bareiss
+elimination at integer samples plus Newton interpolation. Denominators are
+cleared once, where a Fraction-valued polynomial or value comes in.
 """
 
 from __future__ import annotations
@@ -120,8 +123,7 @@ def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
 
 
 def _ints(p: UnivariatePoly) -> tuple[int, ...]:
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(cleared(p.coeffs)[0])
 
 
 def _derivative(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -290,13 +292,20 @@ def rational_roots(p: UnivariatePoly) -> list[Fraction]:
 
 
 def rational_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[Fraction, int]]:
-    a, out = _ints(p), []
-    for r in rational_roots(p):
+    return rational_factors(_ints(p))[0]
+
+
+def rational_factors(a: Sequence[int]) -> tuple[list[tuple[Fraction, int]], tuple[int, ...]]:
+    """The distinct rational roots of the integer polynomial a with their
+    multiplicities, and the primitive part of a with their linear factors
+    divided out."""
+    a, out = _primitive(a), []
+    for r in rational_roots(UnivariatePoly(a)):
         factor, mult = (-r.numerator, r.denominator), 0
         while (q := _quotient(a, factor)) is not None:
             a, mult = q, mult + 1
         out.append((r, mult))
-    return out
+    return out, a
 
 
 def nearest_real_root(p: UnivariatePoly, width: Fraction) -> Fraction | None:
@@ -310,7 +319,9 @@ def nearest_real_root(p: UnivariatePoly, width: Fraction) -> Fraction | None:
 
 
 class BivariatePoly:
-    """Sparse exact polynomial in (x, y), keyed by (i, j) exponent pairs."""
+    """Sparse exact polynomial in (x, y), keyed by (i, j) exponent pairs: the
+    form in which a bivariate polynomial comes in and goes out. Arithmetic
+    runs on the integer cubic kit below."""
 
     __slots__ = ("coeffs",)
 
@@ -321,18 +332,6 @@ class BivariatePoly:
             if v != 0:
                 cleaned[key] = v
         self.coeffs = cleaned
-
-    @classmethod
-    def zero(cls) -> "BivariatePoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "BivariatePoly":
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def linear(cls, cx: Fraction | int, cy: Fraction | int, c0: Fraction | int) -> "BivariatePoly":
-        return cls({(1, 0): cx, (0, 1): cy, (0, 0): c0})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -350,128 +349,110 @@ class BivariatePoly:
     def coeff(self, i: int, j: int) -> Fraction:
         return self.coeffs.get((i, j), Fraction(0))
 
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + val
-        return BivariatePoly(out)
-
-    def __neg__(self) -> "BivariatePoly":
-        return BivariatePoly({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), a in self.coeffs.items():
-            for (i2, j2), b in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return BivariatePoly(out)
-
-    def scale(self, k: Fraction | int) -> "BivariatePoly":
-        k = Fraction(k)
-        return BivariatePoly({key: v * k for key, v in self.coeffs.items()})
-
     def total_degree(self) -> int:
         if not self.coeffs:
             return -1
         return max(i + j for i, j in self.coeffs)
-
-    def homogeneous_part(self, d: int) -> "BivariatePoly":
-        return BivariatePoly({k: v for k, v in self.coeffs.items() if k[0] + k[1] == d})
-
-    def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        total = Fraction(0)
-        for (i, j), c in self.coeffs.items():
-            total += c * x**i * y**j
-        return total
-
-    def substitute(self, px: "BivariatePoly", py: "BivariatePoly") -> "BivariatePoly":
-        """Compose: self(px(u, v), py(u, v))."""
-        if not self.coeffs:
-            return BivariatePoly.zero()
-        max_i = max(i for i, _ in self.coeffs)
-        max_j = max(j for _, j in self.coeffs)
-        xpow = [BivariatePoly.constant(1)]
-        for _ in range(max_i):
-            xpow.append(xpow[-1] * px)
-        ypow = [BivariatePoly.constant(1)]
-        for _ in range(max_j):
-            ypow.append(ypow[-1] * py)
-        out = BivariatePoly.zero()
-        for (i, j), c in self.coeffs.items():
-            out = out + (xpow[i] * ypow[j]).scale(c)
-        return out
-
-    def shear_x(self, t: Fraction | int) -> "BivariatePoly":
-        """Substitute x -> x + t*y (keeps total degree, fixes the y-leading term)."""
-        return self.substitute(
-            BivariatePoly.linear(1, Fraction(t), 0), BivariatePoly.linear(0, 1, 0)
-        )
 
     def y_degree(self) -> int:
         if not self.coeffs:
             return -1
         return max(j for _, j in self.coeffs)
 
-    def section_at_x(self, x0: Fraction | int) -> UnivariatePoly:
-        """The univariate slice f(x0, y)."""
-        x0 = Fraction(x0)
-        dy = self.y_degree()
-        vals = [Fraction(0)] * (dy + 1 if dy >= 0 else 0)
-        for (i, j), c in self.coeffs.items():
-            vals[j] += c * x0**i
-        return UnivariatePoly(vals)
 
-    def restrict_to_line(self, slope_: Fraction, offset: Fraction) -> UnivariatePoly:
-        """f(t, slope*t + offset) as a univariate polynomial in t."""
-        sub = self.substitute(
-            BivariatePoly.linear(1, 0, 0),
-            BivariatePoly.linear(Fraction(slope_), 0, Fraction(offset)),
-        )
-        deg = max((i for i, _ in sub.coeffs), default=-1)
-        return UnivariatePoly([sub.coeff(i, 0) for i in range(deg + 1)])
+# ---------------------------------------------------------------------------
+# Cubic kit. A polynomial of total degree <= 3 in (x, y) is a sequence of 10
+# ints, its coefficients in MONOMIALS order. A nonzero integer factor changes
+# no zero set, root or coefficient ratio, so the kit scales freely: an
+# affine substitution with denominator w comes back multiplied by w^3.
 
-    def divide_by_linear(
-        self, cx: Fraction | int, cy: Fraction | int, c0: Fraction | int
-    ) -> tuple["BivariatePoly", "BivariatePoly"]:
-        """Divide by cx*x + cy*y + c0; returns (quotient, remainder)."""
-        cx, cy, c0 = Fraction(cx), Fraction(cy), Fraction(c0)
-        if cx == 0 and cy == 0:
-            raise ZeroDivisionError("not a linear form")
-        # Change coordinates so the divisor becomes the first variable u,
-        # divide by shifting exponents, then map back.
-        if cx != 0:
-            # u = cx*x + cy*y + c0, v = y  =>  x = (u - cy*v - c0)/cx, y = v
-            fu = self.substitute(
-                BivariatePoly({(1, 0): 1 / cx, (0, 1): -cy / cx, (0, 0): -c0 / cx}),
-                BivariatePoly.linear(0, 1, 0),
-            )
-            back_u = BivariatePoly.linear(cx, cy, c0)
-            back_v = BivariatePoly.linear(0, 1, 0)
-        else:
-            # u = cy*y + c0, v = x  =>  y = (u - c0)/cy, x = v
-            fu = self.substitute(
-                BivariatePoly.linear(0, 1, 0),
-                BivariatePoly({(1, 0): 1 / cy, (0, 0): -c0 / cy}),
-            )
-            back_u = BivariatePoly.linear(0, cy, c0)
-            back_v = BivariatePoly.linear(1, 0, 0)
-        quo_u = BivariatePoly({(i - 1, j): c for (i, j), c in fu.coeffs.items() if i >= 1})
-        rem_u = BivariatePoly({(0, j): c for (i, j), c in fu.coeffs.items() if i == 0})
-        return quo_u.substitute(back_u, back_v), rem_u.substitute(back_u, back_v)
+# Graded-lex descending monomial order; also the canonical sign-rule order.
+MONOMIALS: tuple[tuple[int, int], ...] = (
+    (3, 0), (2, 1), (1, 2), (0, 3),
+    (2, 0), (1, 1), (0, 2),
+    (1, 0), (0, 1),
+    (0, 0),
+)
+_SLOT = {m: k for k, m in enumerate(MONOMIALS)}
+_TIMES_X = tuple(_SLOT.get((i + 1, j)) for i, j in MONOMIALS)
+_TIMES_Y = tuple(_SLOT.get((i, j + 1)) for i, j in MONOMIALS)
+# Every monomial but 1 as (slot, slot of a monomial of one degree less, 0 to
+# multiply that one by x or 1 for y), by ascending degree.
+_BUILD = tuple(
+    (k, _SLOT[(i - 1, j)] if i else _SLOT[(i, j - 1)], 0 if i else 1)
+    for k, (i, j) in reversed(list(enumerate(MONOMIALS))) if i + j
+)
+_ONE = (0,) * 9 + (1,)
+AffineForm = tuple[int, int, int]  # (a, b, c): a*u + b*v + c
+
+
+def cleared(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """Clear denominators once: integers n_i and the lcm d of the
+    denominators, with value_i = n_i / d."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def times_linear(p: Sequence[int], a: int, b: int, c: int) -> list[int]:
+    """p * (a*x + b*y + c), for p of total degree <= 2."""
+    if any(p[:4]):
+        raise ValueError("product would exceed degree 3")
+    out = [c * v for v in p]
+    for k in range(4, 10):
+        if v := p[k]:
+            out[_TIMES_X[k]] += a * v
+            out[_TIMES_Y[k]] += b * v
+    return out
+
+
+def substitute(f: Sequence[int], px: AffineForm, py: AffineForm, w: int = 1) -> list[int]:
+    """w^3 * f(px(u, v) / w, py(u, v) / w), in the new variables (u, v)."""
+    table: list[Sequence[int]] = [_ONE] * 10
+    for k, lower, by_y in _BUILD:
+        table[k] = times_linear(table[lower], *(py if by_y else px))
+    wpow = (w**3, w * w, w, 1)
+    out = [0] * 10
+    for k, (i, j) in enumerate(MONOMIALS):
+        if c := f[k] * wpow[i + j]:
+            out = [o + c * t for o, t in zip(out, table[k])]
+    return out
+
+
+def on_line(f: Sequence[int], px: tuple[int, int], py: tuple[int, int], w: int = 1) -> tuple[int, ...]:
+    """f along x = (px[0] + px[1]*t) / w, y = (py[0] + py[1]*t) / w, as a
+    polynomial in t, low degree first: w^3 times it, divided by its content."""
+    g = substitute(f, (px[1], 0, px[0]), (py[1], 0, py[0]), w)
+    return _primitive((g[9], g[7], g[4], g[0]))
+
+
+def x_section(f: Sequence[int], n: int, d: int = 1) -> tuple[int, ...]:
+    """f(n/d, y) as a polynomial in y, low degree first: d^3 times it,
+    divided by its content."""
+    out, npow, dpow = [0] * 4, (1, n, n * n, n**3), (d**3, d * d, d, 1)
+    for c, (i, j) in zip(f, MONOMIALS):
+        out[j] += c * npow[i] * dpow[i]
+    return _primitive(out)
+
+
+def form_value(form: Sequence[int], x: int, y: int) -> int:
+    """A binary form at (x, y), its coefficients in MONOMIALS order: the
+    sum of form[k] * x^(d-k) * y^k."""
+    return _value(form[::-1], x, y)
+
+
+def cubic_value(f: Sequence[int], x: int, y: int, w: int = 1) -> int:
+    """w^3 * f(x/w, y/w)."""
+    return form_value(f[:4], x, y) + w * (form_value(f[4:7], x, y) + w * (form_value(f[7:9], x, y) + w * f[9]))
 
 
 def _y_columns(f: BivariatePoly) -> tuple[list[list[int]], int]:
     """f's y-coefficients as integer polynomials in x, and the common
     denominator they were scaled by."""
-    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    ints, den = cleared(f.coeffs.values())
     cols = [[0] * (f.total_degree() + 1) for _ in range(f.y_degree() + 1)]
-    for (i, j), c in f.coeffs.items():
-        cols[j][i] = c.numerator * (den // c.denominator)
+    for (i, j), c in zip(f.coeffs, ints):
+        cols[j][i] = c
     return cols, den
 
 

@@ -42,7 +42,8 @@ from equiarea.geometry import (
 )
 from equiarea.incidence import incidence_stats
 from equiarea.matching import IncidencePairParam, matches_ccw, matches_cw
-from equiarea.polynomial import BivariatePoly
+
+from bivariate_oracle import BivariatePoly
 
 
 def _report(number: int, label: str) -> None:

@@ -37,7 +37,8 @@ from equiarea.curves import (
 )
 from equiarea.geometry import Line, Point
 from equiarea.matching import IncidencePairParam, matches_ccw
-from equiarea.polynomial import BivariatePoly
+
+from bivariate_oracle import BivariatePoly
 
 P1 = IncidencePairParam.from_triple(0, 0, 0)          # line y = 0
 P2 = IncidencePairParam.from_triple(1, 2, 1)          # line y = x + 1
@@ -225,7 +226,7 @@ class TestLeadingFormFactors:
                     product = product * BivariatePoly.linear(line.A, line.B, 0)
             if lf.remainder is not None:
                 product = product * lf.remainder
-            assert product.scale(lf.scale) == curve.poly().homogeneous_part(3)
+            assert product.scale(lf.scale) == BivariatePoly.of(curve.poly()).homogeneous_part(3)
 
 
 class TestAsymptotes:
@@ -474,3 +475,15 @@ def test_probe_runs_without_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     first, last = map(float, out.stdout.split())
     assert first > last and last < 1e-4
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only scans with threads > 1 start processes, so only they import the pool.
+    env = {**os.environ, "PYTHONPATH": str(Path(equiarea.__file__).parents[1])}
+    code = (
+        "import sys\n"
+        "import equiarea.cli\n"
+        "print(*(name in sys.modules for name in ('concurrent.futures.process', 'multiprocessing')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]

@@ -19,7 +19,6 @@ from equiarea import curves
 from equiarea.curves import BivariateCubic, curve_intersection_bound
 from equiarea.geometry import Point
 from equiarea.polynomial import (
-    BivariatePoly,
     UnivariatePoly,
     count_real_roots,
     nearest_real_root,
@@ -29,6 +28,8 @@ from equiarea.polynomial import (
     squarefree_part,
     sylvester_resultant_y,
 )
+
+from bivariate_oracle import BivariatePoly
 
 
 ORACLES = settings(
@@ -260,7 +261,7 @@ PINNED_TRIALS = {
 
 def sheared(f: BivariateCubic, g: BivariateCubic) -> tuple[int, BivariatePoly, BivariatePoly]:
     """The shear x -> x + t*y that `curve_intersection_bound` applies."""
-    fp, gp = f.poly(), g.poly()
+    fp, gp = BivariatePoly.of(f.poly()), BivariatePoly.of(g.poly())
     t = 0
     while fp.homogeneous_part(3).evaluate(t, 1) == 0 or gp.homogeneous_part(3).evaluate(t, 1) == 0:
         t += 1
