@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
+# find_shear, shear and incidence_pairs are not called here; callers look them up on this module.
 from .geometry import (
     GeometryError,
     InvariantViolation,
@@ -30,7 +31,7 @@ from .geometry import (
     intersect,
     shear,
 )
-from .incidence import incidence_pairs
+from .incidence import incidence_pairs, key_line, rich_table
 from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
     MONOMIALS,
@@ -133,16 +134,19 @@ class LinearFormBundle:
     s: Fraction
 
     def __post_init__(self) -> None:
-        # L1*L4 - L2*L5, coefficient by coefficient: its quadratic part must
-        # cancel and its linear part must be L6 = D*x + E*y + F.
-        a1, b1, c1 = self.L1.cx, self.L1.cy, self.L1.c0
-        a2, b2, c2 = self.L2.cx, self.L2.cy, self.L2.c0
-        a4, b4, c4 = self.L4.cx, self.L4.cy, self.L4.c0
-        a5, b5, c5 = self.L5.cx, self.L5.cy, self.L5.c0
-        quadratic = (a1 * a4 - a2 * a5, a1 * b4 + b1 * a4 - a2 * b5 - b2 * a5, b1 * b4 - b2 * b5)
-        linear = (a1 * c4 + c1 * a4 - a2 * c5 - c2 * a5, b1 * c4 + c1 * b4 - b2 * c5 - c2 * b5, c1 * c4 - c2 * c5)
-        if any(quadratic) or linear != (self.L6.cx, self.L6.cy, self.L6.c0) or linear != (self.D, self.E, self.F):
+        l6 = (self.L6.cx, self.L6.cy, self.L6.c0)
+        forms = [(f.cx, f.cy, f.c0) for f in (self.L1, self.L2, self.L4, self.L5)]
+        if l6 != (self.D, self.E, self.F) or not _l6_holds(*forms, l6):
             raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
+
+
+def _l6_holds(l1: tuple, l2: tuple, l4: tuple, l5: tuple, l6: tuple) -> bool:
+    """L1*L4 - L2*L5 == L6 for forms given as (cx, cy, c0), in ints or
+    Fractions: the quadratic part must cancel and the linear part must be L6."""
+    (a1, b1, c1), (a2, b2, c2), (a4, b4, c4), (a5, b5, c5) = l1, l2, l4, l5
+    quadratic = (a1 * a4 - a2 * a5, a1 * b4 + b1 * a4 - a2 * b5 - b2 * a5, b1 * b4 - b2 * b5)
+    linear = (a1 * c4 + c1 * a4 - a2 * c5 - c2 * a5, b1 * c4 + c1 * b4 - b2 * c5 - c2 * b5, c1 * c4 - c2 * c5)
+    return not any(quadratic) and linear == l6
 
 
 class CurveTag(Enum):
@@ -220,7 +224,12 @@ class BivariateCubic:
 class CurveCase:
     tag: CurveTag
     curve: BivariateCubic | None
-    bundle: LinearFormBundle | None
+    generators: tuple[IncidencePairParam, IncidencePairParam]
+
+    @property
+    def bundle(self) -> LinearFormBundle | None:
+        """The curve's linear-form bundle, built in Fractions on each read."""
+        return None if self.curve is None else make_bundle(*self.generators)
 
 
 def _pair_form(a: Fraction, b: Fraction, kappa: Fraction) -> LinearForm:
@@ -247,7 +256,7 @@ def make_bundle(p1: IncidencePairParam, p2: IncidencePairParam) -> LinearFormBun
 
 def match_curve(p1: IncidencePairParam, p2: IncidencePairParam) -> CurveCase:
     """The plane cubic whose points are the (x, y) of parameters matching both
-    generators, together with its linear-form bundle.
+    generators; its linear-form bundle is read through `CurveCase.bundle`.
 
     Two degenerate inputs produce no curve: identical points on different
     lines (the constraints contradict, so the locus is empty) and identical
@@ -255,30 +264,41 @@ def match_curve(p1: IncidencePairParam, p2: IncidencePairParam) -> CurveCase:
     triple line). When one generator's point lies on the other's line the
     curve exists but its leading form carries that line squared.
     """
-    if p1 == p2:
+    # The six generator values over one denominator w; below, every form is
+    # w^2 times the bundle's, and l6 is w^4 times L6 = D*x + E*y + F.
+    (a1, b1, k1, a2, b2, k2), w = cleared((p1.a, p1.b, p1.kappa, p2.a, p2.b, p2.kappa))
+    if (a1, b1, k1) == (a2, b2, k2):
         raise SamePair("need two distinct incidence pairs")
-    if p1.point == p2.point:
-        return CurveCase(CurveTag.EMPTY, None, None)
-    if p1.line == p2.line:
-        return CurveCase(CurveTag.UNDEFINED, None, None)
-    bundle = make_bundle(p1, p2)
-    # With every form cleared by one denominator w, w^3 times the curve is
-    # (w*L1)(w*L2)(w*L3) + w^2 * (2*(w*L6) + 4*(w*C)).
-    forms = (bundle.L1, bundle.L2, bundle.L3, bundle.L6)
-    ints, w = cleared([v for form in forms for v in (form.cx, form.cy, form.c0)] + [bundle.C])
-    l1, l2, l3, l6 = ints[0:3], ints[3:6], ints[6:9], ints[9:12]
-    product = times_linear(times_linear([0] * 7 + l1, *l2), *l3)
+    if (a1, b1) == (a2, b2):
+        return CurveCase(CurveTag.EMPTY, None, (p1, p2))
+    da, db, ks, ww = a2 - a1, b2 - b1, k1 + k2, w * w
+    # w^2 * L1(p2) and -w^2 * L2(p1): zero when a point lies on the other line.
+    off1, off2 = db * w - k1 * da, db * w - k2 * da
+    if k1 == k2 and off1 == 0:
+        return CurveCase(CurveTag.UNDEFINED, None, (p1, p2))
+    l1 = (-k1 * w, ww, k1 * a1 - b1 * w)
+    l2 = (-k2 * w, ww, k2 * a2 - b2 * w)
+    l4 = (-k2 * w, ww, k2 * a1 - b1 * w)
+    l5 = (-k1 * w, ww, k1 * a2 - b2 * w)
+    l6 = (
+        w * (2 * k1 * k2 * da - ks * db * w),
+        ww * (2 * db * w - ks * da),
+        k1 * k2 * (a1 * a1 - a2 * a2) + ks * (a2 * b2 - a1 * b1) * w + (b1 * b1 - b2 * b2) * ww,
+    )
+    if not _l6_holds(l1, l2, l4, l5, l6):
+        raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
+    # w^6 times the curve L1*L2*L3 + 2*L6 + 4*C, with C = k1 - k2.
+    product = times_linear(times_linear([0] * 7 + list(l1), *l2), db * w, -da * w, a2 * b1 - a1 * b2)
     for k, c in zip((7, 8, 9), l6):
-        product[k] += 2 * w * w * c
-    product[9] += 4 * w * w * ints[12]
-    curve = BivariateCubic.from_ints(product)
-    if p1.line.contains(p2.point):
+        product[k] += 2 * ww * c
+    product[9] += 4 * ww * ww * w * (k1 - k2)
+    if off1 == 0:
         tag = CurveTag.POINT_ON_LINE_1
-    elif p2.line.contains(p1.point):
+    elif off2 == 0:
         tag = CurveTag.POINT_ON_LINE_2
     else:
         tag = CurveTag.GENERAL
-    return CurveCase(tag, curve, bundle)
+    return CurveCase(tag, BivariateCubic.from_ints(product), (p1, p2))
 
 
 @dataclass(frozen=True)
@@ -776,21 +796,48 @@ def _bezout_trial(seed: int, index: int) -> tuple[int, bool]:
     return inter.upper_bound, inter.upper_bound > 9
 
 
+def _sheared_incidences(
+    points: Iterable[tuple[int, int]],
+) -> tuple[list[tuple[Line, tuple[int, int]]], int]:
+    """`incidence_pairs(shear(points, find_shear(points)), 2)` on distinct
+    integer points, in the same order, before any pair is parametrized: each
+    incidence's canonical line and its sheared point times j, and j.
+
+    find_shear's t = e/j is 0 when the x values are distinct, else the first
+    1/j leaving no vertical spanned line, which holds exactly when the values
+    j*x + y are distinct. The sheared point (x + t*y, y) is then
+    (j*x + e*y, j*y) / j.
+    """
+    pts = list(points)
+    e, j = 0, 1
+    if len({x for x, _ in pts}) < len(pts):
+        e = 1
+        while len({j * x + y for x, y in pts}) < len(pts):
+            j += 1
+    sheared = sorted((j * x + e * y, j * y) for x, y in pts)
+    lines = sorted((key_line(key, j), members) for key, members in rich_table(sheared, 2).items())
+    return [(line, sheared[i]) for line, members in lines for i in members], j
+
+
+def _incidence_param(incidence: tuple[Line, tuple[int, int]], j: int) -> IncidencePairParam:
+    """The validated pair of one incidence from `_sheared_incidences`."""
+    line, (x, y) = incidence
+    return to_param(line, Point(Fraction(x, j), Fraction(y, j)))
+
+
 def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
     rng = _trial_rng(seed, index)
     while True:
         n = rng.randint(8, 14)
-        pts: set[Point] = set()
+        pts: set[tuple[int, int]] = set()
         while len(pts) < n:
-            pts.add(Point(rng.randint(-6, 6), rng.randint(-6, 6)))
-        points = sorted(pts)
-        sheared = shear(points, find_shear(points))
-        pairs = incidence_pairs(sheared, 2)
-        if len(pairs) < 3:
+            pts.add((rng.randint(-6, 6), rng.randint(-6, 6)))
+        incidences, j = _sheared_incidences(pts)
+        if len(incidences) < 3:
             continue
         for _ in range(40):
-            trio = rng.sample(range(len(pairs)), 3)
-            surfaces = [MatchSurface(pairs[i]) for i in trio]
+            trio = rng.sample(range(len(incidences)), 3)
+            surfaces = [MatchSurface(_incidence_param(incidences[i], j)) for i in trio]
             try:
                 result = triple_common_points(*surfaces)
             except DegenerateTriple:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
-
 
 class GeometryError(Exception):
     """Base class for geometric failure modes (bad inputs, degenerate cases)."""
@@ -149,10 +147,6 @@ def line_through(p: Point, q: Point) -> Line:
     b = q.x - p.x
     c = -(a * p.x + b * p.y)
     return Line(a, b, c)
-
-
-def slope(line: Line) -> Fraction:
-    return line.slope()
 
 
 def intersect(l1: Line, l2: Line) -> Point:

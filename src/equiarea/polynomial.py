@@ -1,6 +1,6 @@
 """Small exact polynomial kit over the rationals.
 
-Univariate: arithmetic on Fraction coefficients; gcd, squarefree part, Sturm
+Univariate: a Fraction-coefficient container; gcd, squarefree part, Sturm
 real-root counting, rational roots and root isolation on primitive integer
 coefficient tuples (signed pseudo-remainders, homogeneous Horner signs at
 dyadic points, no integer factoring). Bivariate: a cubic kit on 10 integer
@@ -50,58 +50,6 @@ class UnivariatePoly:
 
     def __repr__(self) -> str:
         return f"UnivariatePoly({list(self.coeffs)!r})"
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UnivariatePoly(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (other.coeffs[i] if i < len(other.coeffs) else 0)
-            for i in range(n)
-        )
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly(out)
-
-    def scale(self, k: Fraction | int) -> "UnivariatePoly":
-        k = Fraction(k)
-        return UnivariatePoly(c * k for c in self.coeffs)
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UnivariatePoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == 0:
-                continue
-            q = top / lead
-            quo[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-        return UnivariatePoly(quo), UnivariatePoly(rem)
-
-    def primitive(self) -> "UnivariatePoly":
-        """Integer-coefficient version with content 1, sign preserved."""
-        return UnivariatePoly(_ints(self))
 
 
 # ---------------------------------------------------------------------------

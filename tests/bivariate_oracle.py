@@ -1,17 +1,85 @@
-"""The Fraction arithmetic on `BivariatePoly` that the package used before its
-integer cubic kit, kept as the tests' oracle.
+"""The Fraction arithmetic on `BivariatePoly` and `UnivariatePoly` that the
+package used before its integer kits, kept as the tests' oracle.
 
-`BivariatePoly` here subclasses the package's container, so its instances go
+Both classes here subclass the package's containers, so their instances go
 wherever the package takes one (`BivariateCubic.from_poly`,
-`sylvester_resultant_y`), and every operation returns the subclass.
+`sylvester_resultant_y`, `rational_roots`), and every operation returns the
+subclass. Wrap a polynomial the package returns with `of` before doing
+arithmetic on it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from equiarea import polynomial
-from equiarea.polynomial import UnivariatePoly
+
+
+class UnivariatePoly(polynomial.UnivariatePoly):
+    """Dense univariate polynomial with Fraction arithmetic."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, p: polynomial.UnivariatePoly) -> "UnivariatePoly":
+        return cls(p.coeffs)
+
+    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UnivariatePoly(
+            (self.coeffs[i] if i < len(self.coeffs) else 0)
+            + (other.coeffs[i] if i < len(other.coeffs) else 0)
+            for i in range(n)
+        )
+
+    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        if self.is_zero() or other.is_zero():
+            return UnivariatePoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UnivariatePoly(out)
+
+    def scale(self, k: Fraction | int) -> "UnivariatePoly":
+        k = Fraction(k)
+        return UnivariatePoly(c * k for c in self.coeffs)
+
+    def evaluate(self, x: Fraction | int) -> Fraction:
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def divmod(self, other: "UnivariatePoly") -> tuple["UnivariatePoly", "UnivariatePoly"]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return UnivariatePoly(), self
+        quo = [Fraction(0)] * (dq + 1)
+        lead = other.coeffs[-1]
+        for k in range(dq, -1, -1):
+            top = rem[k + other.degree]
+            if top == 0:
+                continue
+            q = top / lead
+            quo[k] = q
+            for j, b in enumerate(other.coeffs):
+                rem[k + j] -= q * b
+        return UnivariatePoly(quo), UnivariatePoly(rem)
+
+    def primitive(self) -> "UnivariatePoly":
+        """Integer-coefficient version with content 1, sign preserved."""
+        ints, _ = polynomial.cleared(self.coeffs)
+        g = math.gcd(*ints)
+        return UnivariatePoly(c // g for c in ints) if g else UnivariatePoly()
+
+
 
 
 class BivariatePoly(polynomial.BivariatePoly):

@@ -48,7 +48,6 @@ from equiarea.geometry import (
 from equiarea.matching import IncidencePairParam, to_param
 from equiarea.polynomial import (
     MONOMIALS,
-    UnivariatePoly,
     count_real_roots,
     cubic_value,
     on_line,
@@ -60,7 +59,7 @@ from equiarea.polynomial import (
     x_section,
 )
 
-from bivariate_oracle import BivariatePoly
+from bivariate_oracle import BivariatePoly, UnivariatePoly
 
 ORACLES = settings(
     derandomize=True,

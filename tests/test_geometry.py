@@ -24,7 +24,6 @@ from equiarea.geometry import (
     parse_rational,
     shear,
     signed_area2,
-    slope,
 )
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=4)
@@ -103,10 +102,10 @@ class TestSignedArea:
 
 class TestSlopeAndIntersect:
     def test_slopes(self):
-        assert slope(Line(0, 1, 0)) == 0
-        assert slope(Line(1, -1, 0)) == 1
+        assert Line(0, 1, 0).slope() == 0
+        assert Line(1, -1, 0).slope() == 1
         with pytest.raises(VerticalLine):
-            slope(Line(1, 0, -3))
+            Line(1, 0, -3).slope()
 
     def test_intersections(self):
         assert intersect(Line(0, 1, 0), Line(1, -1, 1)) == pt(-1, 0)
