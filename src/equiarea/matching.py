@@ -26,7 +26,6 @@ from .geometry import (
     GeometryError,
     Line,
     Point,
-    VerticalLine,
     ZeroArea,
     intersect,
     line_through,
@@ -48,45 +47,44 @@ class DegenerateTriangle(GeometryError):
 
 @dataclass(frozen=True, order=True, slots=True)
 class IncidencePairParam:
-    """A (line, point-on-line) pair as the triple (a, b, kappa).
+    """A (line, point-on-line) pair as the triple (a, b, kappa): the point's
+    coordinates and the line's slope, which determine both.
 
-    Orders lexicographically by (a, b, kappa); the line and point fields are
-    determined by the triple, so including them in comparisons is harmless.
+    Orders lexicographically by (a, b, kappa). The line and the point are
+    built from the triple when they are read.
     """
 
     a: Fraction
     b: Fraction
     kappa: Fraction
-    line: Line
-    point: Point
-
-    def __post_init__(self) -> None:
-        if self.line.is_vertical:
-            raise VerticalLine("incidence pairs require a sloped line")
-        if not self.line.contains(self.point):
-            raise PointNotOnLine(f"{self.point} not on {self.line}")
-        if self.line.slope() != self.kappa:
-            raise GeometryError("kappa disagrees with the line's slope")
-        if (self.point.x, self.point.y) != (self.a, self.b):
-            raise GeometryError("(a, b) disagrees with the point")
 
     @classmethod
     def from_triple(
         cls, a: Fraction | int, b: Fraction | int, kappa: Fraction | int
     ) -> "IncidencePairParam":
-        a, b, kappa = Fraction(a), Fraction(b), Fraction(kappa)
-        line = _line_point_slope(Point(a, b), kappa)
-        return cls(a, b, kappa, line, Point(a, b))
+        return cls(Fraction(a), Fraction(b), Fraction(kappa))
+
+    @property
+    def point(self) -> Point:
+        return Point(self.a, self.b)
+
+    @property
+    def line(self) -> Line:
+        return _line_point_slope(self.a, self.b, self.kappa)
 
 
-def _line_point_slope(p: Point, m: Fraction) -> Line:
+def _line_point_slope(x0: Fraction, y0: Fraction, m: Fraction) -> Line:
     # m*x - y + (y0 - m*x0) = 0
-    return Line(m, -1, p.y - m * p.x)
+    return Line(m, -1, y0 - m * x0)
 
 
 def to_param(line: Line, point: Point) -> IncidencePairParam:
-    """Parametrize a (line, point) incidence pair; a vertical line raises VerticalLine."""
-    return IncidencePairParam(point.x, point.y, line.slope(), line, point)
+    """Parametrize a (line, point) incidence pair; a vertical line raises
+    VerticalLine and a point off the line PointNotOnLine."""
+    kappa = line.slope()
+    if not line.contains(point):
+        raise PointNotOnLine(f"{point} not on {line}")
+    return IncidencePairParam(point.x, point.y, kappa)
 
 
 def matches_ccw(
@@ -119,8 +117,8 @@ def third_vertex(p1: IncidencePairParam, p2: IncidencePairParam) -> Point:
     """
     if p1.kappa == p2.kappa:
         raise ParallelSlopes("equal slopes leave the third vertex undefined")
-    l1 = _line_point_slope(p1.point, p2.kappa)
-    l2 = _line_point_slope(p2.point, p1.kappa)
+    l1 = _line_point_slope(p1.a, p1.b, p2.kappa)
+    l2 = _line_point_slope(p2.a, p2.b, p1.kappa)
     return intersect(l1, l2)
 
 
@@ -172,7 +170,8 @@ def count_matching_pairs(
     lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for p in pairs:
         point = (int(p.a * scale), int(p.b * scale))
-        lines.setdefault((p.line.A, p.line.B, p.line.C * scale), []).append(point)
+        line = p.line
+        lines.setdefault((line.A, line.B, line.C * scale), []).append(point)
     in_s = {(int(p.x * scale), int(p.y * scale)) for p in points} if require_q_in_s else None
     return count_matching_on_lines(lines, Fraction(area) * scale * scale, in_s)
 
