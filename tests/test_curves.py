@@ -77,6 +77,9 @@ class TestBundle:
         bundle = make_bundle(P1, P2)
         with pytest.raises(CurveError):
             dataclasses.replace(bundle, L6=bundle.L6.shifted(F(1)))
+        # Moving F along with L6 still breaks L6 = L1*L4 - L2*L5.
+        with pytest.raises(CurveError):
+            dataclasses.replace(bundle, L6=bundle.L6.shifted(F(1)), F=bundle.F + 1)
 
     def test_worked_example_forms(self):
         bundle = match_curve(P1, P2).bundle
