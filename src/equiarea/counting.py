@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-# find_shear, shear and count_matching_pairs are not called here; callers look them up on this module.
+# find_shear, shear, incidence_stats and count_matching_pairs are not called here; callers look them up on this module.
 from .geometry import (
     GeometryError,
     InvariantViolation,
@@ -61,31 +61,74 @@ def count_brute(points: Sequence[Point], area: Fraction | int) -> int:
     return count
 
 
-def _bases_by_direction(pts, area: Fraction, scale: int, with_indices: bool = False) -> dict:
+def _twice_area(area: Fraction, scale: int) -> int | None:
+    """2*A*scale^2, the integer |cross| of an area-A triangle on the scaled points.
+
+    Scaled points are integers, so every cross is one too: when 2*A*scale^2 is
+    not an integer, no triangle has area A and no base has an integer offset.
+    """
+    twice = 2 * area * scale * scale
+    return twice.numerator if twice.denominator == 1 else None
+
+
+def _bases_by_direction(
+    pts, area: Fraction, scale: int, with_indices: bool = False, others: dict | None = None
+) -> dict:
     """Base pairs by primitive direction (p, q), as (value, offset) or (i, j, value, offset).
 
     This is `incidence.pair_lines` inlined, being count_pairline's hot loop.
     A base of step g*(p, q) and key value p*y - q*x spans area A with every
     point whose value differs by offset = 2*A*scale^2 / g. Values are
-    integers, so a base whose offset is not is dropped.
+    integers, so a base whose offset is not is dropped; with `others`, its
+    value is appended to others[(p, q)] instead. Empty when no base can exist.
     """
-    twice = 2 * area * scale * scale
-    t_num, t_den = twice.numerator, twice.denominator
+    twice = _twice_area(area, scale)
+    if twice is None:
+        return {}
     gcd = math.gcd
     by_direction: dict[tuple[int, int], list] = {}
     for i, (ax, ay) in enumerate(pts):
         for j, (bx, by) in enumerate(pts[i + 1 :], i + 1):
             dx, dy = bx - ax, by - ay
             g = gcd(dx, dy)
-            offset, rem = divmod(t_num, t_den * g)
-            if rem:
+            offset, rem = divmod(twice, g)
+            if rem and others is None:
                 continue
             p, q = dx // g, dy // g
             value = p * ay - q * ax
-            by_direction.setdefault((p, q), []).append(
-                (i, j, value, offset) if with_indices else (value, offset)
-            )
+            if rem:
+                others.setdefault((p, q), []).append(value)
+            else:
+                by_direction.setdefault((p, q), []).append(
+                    (i, j, value, offset) if with_indices else (value, offset)
+                )
     return by_direction
+
+
+def _probe_pencils(pts, by_direction: dict, sizes: Counter | None = None, others: dict | None = None) -> int:
+    """Triangles found by probing each base's two parallel lines in its direction's pencil.
+
+    With `sizes`, every pencil line holding 2 or more points is also tallied
+    there by its member count; `others` then holds the values of the pairs
+    that are not bases, as `_bases_by_direction` leaves them.
+    """
+    n = len(pts)
+    total = 0
+    for (p, q), bases in by_direction.items():
+        pencil = Counter([p * y - q * x for x, y in pts])
+        for value, offset in bases:
+            total += pencil[value + offset] + pencil[value - offset]
+        if sizes is not None:
+            # A line of m members takes m - 1 values out of the pencil and
+            # holds C(m, 2) pairs; the two agree only for m = 2.
+            pairs = len(bases) + len(others.get((p, q), ()))
+            if n - len(pencil) == pairs:
+                sizes[2] += pairs
+            else:
+                sizes.update(members for members in pencil.values() if members > 1)
+    if total % 3:
+        raise InvariantViolation("each triangle must be found once per side")
+    return total // 3
 
 
 def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
@@ -99,15 +142,32 @@ def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
     """
     area = _check_area(area)
     pts, _, scale = integer_points(points)
-    by_direction = _bases_by_direction(pts, area, scale)
-    total = 0
-    for (p, q), entries in by_direction.items():
-        pencil = Counter(p * y - q * x for x, y in pts)
-        for value, offset in entries:
-            total += pencil[value + offset] + pencil[value - offset]
-    if total % 3:
-        raise InvariantViolation("each triangle must be found once per side")
-    return total // 3
+    return _probe_pencils(pts, _bases_by_direction(pts, area, scale))
+
+
+def _census(points: Sequence[Point], k: int, area: Fraction) -> tuple[int, _incidence.IncidenceStats]:
+    """count_pairline and incidence_stats of one set, from one pass over its pairs.
+
+    A direction with a base gets a pencil for the count anyway, and that
+    pencil's values are the member counts of all its lines. The lines of a
+    direction without a base come from the values of its own pairs, so no
+    direction costs more than it did in the two separate passes. When no base
+    can exist the count is 0 and only the statistics are computed.
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    pts, _, scale = integer_points(points)
+    if _twice_area(area, scale) is None:
+        return 0, _incidence.stats_from_sizes(len(pts), k, _incidence.line_sizes(pts))
+    others: dict[tuple[int, int], list[int]] = {}
+    by_direction = _bases_by_direction(pts, area, scale, others=others)
+    sizes: Counter = Counter()
+    count = _probe_pencils(pts, by_direction, sizes, others)
+    for direction, values in others.items():
+        if direction not in by_direction:
+            for pairs in Counter(values).values():
+                sizes[_incidence.members_from_pairs(pairs)] += 1
+    return count, _incidence.stats_from_sizes(len(pts), k, sizes)
 
 
 #: Exhaustive area search scans all C(n,3) triples; keep it a small-n utility.
@@ -361,7 +421,7 @@ def scaling_experiment(
     seed: int = 0,
     matching_limit: int = MATCHING_SIZE_LIMIT,
 ) -> list[ExperimentRow]:
-    """One row per size; counts via the pair-and-pencil counter.
+    """One row per size; count, m and N from one pass over each size's point pairs.
 
     The matching count and richness tally are only computed for sizes up to
     matching_limit; above it their CSV cells stay blank. For lattice sections the
@@ -374,8 +434,7 @@ def scaling_experiment(
     for n in sizes:
         started = time.perf_counter()
         points = _generate(kind, n, seed + n)
-        count = count_pairline(points, area)
-        stats = incidence_stats(points, k)
+        count, stats = _census(points, k, area)
         m_val, tally = None, (None,) * 4
         if n <= matching_limit:
             report = matching_identity_check(points, k, area)

@@ -308,11 +308,7 @@ class MatchSurface:
     generator: IncidencePairParam
 
     def contains(self, x: Fraction, y: Fraction, w: Fraction) -> bool:
-        try:
-            other = IncidencePairParam.from_triple(x, y, w)
-        except GeometryError:
-            return False
-        return matches_ccw(self.generator, other)
+        return matches_ccw(self.generator, IncidencePairParam.from_triple(x, y, w))
 
 
 @dataclass(frozen=True)
@@ -664,10 +660,7 @@ def triple_common_points(
         if den == 0:
             continue
         w = (l1v * (y - b) + 2 * k) / den
-        try:
-            candidate = IncidencePairParam.from_triple(x, y, w)
-        except GeometryError:
-            continue
+        candidate = IncidencePairParam.from_triple(x, y, w)
         if all(matches_ccw(gen, candidate) for gen in gens):
             witnesses.append((x, y, w))
     return TripleCommonPoints(inter.upper_bound, tuple(sorted(witnesses)))

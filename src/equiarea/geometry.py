@@ -72,8 +72,10 @@ class Point:
     y: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+        if not isinstance(self.x, Fraction):
+            object.__setattr__(self, "x", Fraction(self.x))
+        if not isinstance(self.y, Fraction):
+            object.__setattr__(self, "y", Fraction(self.y))
 
     def __str__(self) -> str:
         return f"{self.x} {self.y}"

@@ -118,25 +118,24 @@ class IncidenceStats:
     ratio_N: Fraction
 
 
-def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
-    """Rich-line count m, incidence count N, and their scaling ratios.
-
-    Both come from the point pairs per line key, grouped by that pair count.
-    Hard-asserts only the provable pair-packing bound m * C(k,2) <= C(n,2);
-    the two ratios are reported for trend inspection, never asserted.
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    pts, _, _ = integer_points(points)
-    n = len(pts)
+def line_sizes(pts: Sequence[tuple[int, int]]) -> Counter:
+    """Member count -> number of lines, over every line through 2 or more of `pts`."""
     lines_per_pair_count = Counter(Counter(key for _, _, key in pair_lines(pts)).values())
-    m = big_n = 0
-    for pairs, lines in lines_per_pair_count.items():
-        members = members_from_pairs(pairs)
-        if members >= k:
-            m += lines
-            big_n += members * lines
-    if m * math.comb(k, 2) > math.comb(n, 2):
+    return Counter({members_from_pairs(pairs): lines for pairs, lines in lines_per_pair_count.items()})
+
+
+def stats_from_sizes(n: int, k: int, sizes: Counter) -> IncidenceStats:
+    """IncidenceStats of n points from their line sizes (member count -> lines).
+
+    Checks that the lines hold each of the C(n,2) point pairs exactly once,
+    and the bounds m * C(k,2) <= C(n,2) and N >= m*k.
+    """
+    pairs = math.comb(n, 2)
+    if sum(lines * math.comb(members, 2) for members, lines in sizes.items()) != pairs:
+        raise InvariantViolation(f"the spanned lines of {n} points do not hold {pairs} point pairs")
+    m = sum(lines for members, lines in sizes.items() if members >= k)
+    big_n = sum(members * lines for members, lines in sizes.items() if members >= k)
+    if m * math.comb(k, 2) > pairs:
         raise InvariantViolation(f"rich-line bound failed: m={m}, k={k}, n={n}")
     if big_n < m * k:
         raise InvariantViolation(f"incidence count {big_n} below m*k = {m * k}")
@@ -149,3 +148,16 @@ def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
         ratio_m=Fraction(m * k**3, denom) if denom else Fraction(0),
         ratio_N=Fraction(big_n * k**2, denom) if denom else Fraction(0),
     )
+
+
+def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
+    """Rich-line count m, incidence count N, and their scaling ratios.
+
+    Both come from the point pairs per line key, grouped by that pair count;
+    `stats_from_sizes` checks the bounds. The two ratios are reported for
+    trend inspection, never asserted.
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    pts, _, _ = integer_points(points)
+    return stats_from_sizes(len(pts), k, line_sizes(pts))

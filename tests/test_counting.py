@@ -7,9 +7,11 @@ import pytest
 
 from equiarea.counting import (
     CSV_HEADER,
+    MATCHING_SIZE_LIMIT,
     RichnessTally,
     Unsatisfiable,
     ZeroArea,
+    _generate,
     count_brute,
     count_pairline,
     default_area,
@@ -24,7 +26,8 @@ from equiarea.counting import (
     scaling_experiment,
     tally_by_richness,
 )
-from equiarea.geometry import Point, shear, signed_area2
+from equiarea.geometry import DuplicatePoints, Point, shear, signed_area2
+from equiarea.incidence import incidence_stats
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
 FIVE = [Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 2), Point(1, 2)]
@@ -91,6 +94,33 @@ class TestPairlineCount:
             sheared = shear(pts, t)
             assert count_brute(sheared, 1) == count_brute(pts, 1)
             assert count_pairline(sheared, 1) == count_pairline(pts, 1)
+
+
+class TestNoBaseShortcut:
+    """When 2*A*L^2 is not an integer no triangle has area A, and no base is enumerated."""
+
+    @pytest.mark.parametrize("area", [F(1, 3), F(5, 6)])
+    def test_integer_and_rational_sets(self, area):
+        integer = gen_random(16, 6, seed=4)
+        sets = [
+            integer,
+            gen_grid(4, 5),
+            [Point(p.x / 2, p.y / 3) for p in integer],
+            [Point(p.x / 6, p.y) for p in gen_grid(3, 4)],
+        ]
+        for pts in sets:
+            count = count_brute(pts, area)
+            assert count_pairline(pts, area) == count
+            assert tally_by_richness(pts, 2, area).total == count
+        assert count_brute(sets[0], area) == count_brute(sets[1], area) == 0
+        assert count_brute(sets[2], area) > 0
+
+    def test_duplicates_still_raise(self):
+        pts = [Point(0, 0), Point(1, 0), Point(0, 0)]
+        with pytest.raises(DuplicatePoints):
+            count_pairline(pts, F(1, 3))
+        with pytest.raises(DuplicatePoints):
+            tally_by_richness(pts, 2, F(1, 3))
 
 
 class TestModeArea:
@@ -253,6 +283,17 @@ class TestScalingExperiment:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
             scaling_experiment("lattice", [32, 16])
+
+    @pytest.mark.parametrize("kind", ["lattice", "random", "grid", "parallel"])
+    def test_rows_equal_the_two_kernels(self, kind):
+        sizes = [12, 24, 40]
+        assert sizes[0] < MATCHING_SIZE_LIMIT < sizes[-1]
+        for k in (2, 3):
+            for area in (None, F(1, 3), F(3, 2)):
+                for row in scaling_experiment(kind, sizes, k=k, area=area, seed=3):
+                    points = _generate(kind, row.n, row.seed + row.n)
+                    stats = incidence_stats(points, k)
+                    assert (row.count, row.m, row.N) == (count_pairline(points, row.area), stats.m, stats.N)
 
     def test_default_areas(self):
         assert default_area("lattice") == F(1, 2)

@@ -49,6 +49,19 @@ class TestRationalParsing:
         assert (a + b) - b == a
 
 
+class TestPoint:
+    def test_fraction_coordinates_are_kept(self):
+        x, y = F(1, 3), F(-5, 2)
+        p = Point(x, y)
+        assert p.x is x and p.y is y
+
+    def test_other_coordinates_become_fractions(self):
+        p = Point(1, 2)
+        assert type(p.x) is F and type(p.y) is F
+        assert (p.x, p.y) == (1, 2)
+        assert Point(1, F(2)) == p and hash(Point(1, F(2))) == hash(p)
+
+
 class TestLineCanonicalForm:
     def test_scaling_collapses(self):
         assert Line(0, 2, 4) == Line(0, 1, 2)

@@ -4,8 +4,9 @@ Each fast path is compared on property-generated inputs with a path that
 shares none of its code: `count_brute` for `count_pairline`, a
 `line_through`/Fraction member count for the integer line keys, and the
 O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
-`tally_by_richness`, and the O(N^2) Fraction scan over sheared incidence
-pairs for the integer matching probe. The input families are rational
+`tally_by_richness`, both of the first two for the scaling experiment's
+one-pass census, and the O(N^2) Fraction scan over sheared incidence pairs
+for the integer matching probe. The input families are rational
 coordinates with mixed denominators, coordinates above 2^64, sets with
 vertical lines, and collinear-heavy sets. Examples are derandomized, so every
 run draws the same inputs.
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from equiarea.counting import (
     RichnessTally,
+    _census,
     count_brute,
     count_pairline,
     fixed_area_triangles,
@@ -45,6 +47,7 @@ from equiarea.incidence import (
     members_from_pairs,
     pair_lines,
     spanned_lines,
+    stats_from_sizes,
 )
 from equiarea.matching import count_matching_pairs, third_vertex, top_lines
 
@@ -86,6 +89,7 @@ AREAS = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 3), F(5, 6), F(1, 12
 # The matching oracle is quadratic in the incidences, so its sets stay small.
 MATCHING_FAMILIES = {name: family.map(lambda pts: pts[:8]) for name, family in FAMILIES.items()}
 SIGNED_AREAS = st.sampled_from((F(1), F(1, 2), F(3, 2), F(-1), F(-5, 6)))
+CENSUS_AREAS = (F(1, 2), F(1), F(3, 2), F(1, 3), F(5, 6))
 
 
 def _areas_to_check(points, drawn):
@@ -180,6 +184,18 @@ class TestAgainstOracles:
 
         check()
 
+    def test_census_equals_brute_and_fraction_lines(self, family):
+        @ORACLES
+        @given(FAMILIES[family], st.integers(2, 4))
+        def check(points, k):
+            rich = [m for m in oracle_member_counts(points).values() if m >= k]
+            for area in _areas_to_check(points, CENSUS_AREAS[0]) | set(CENSUS_AREAS):
+                count, stats = _census(points, k, area)
+                assert (count, stats.m, stats.N) == (count_brute(points, area), len(rich), sum(rich))
+                assert stats == incidence_stats(points, k)
+
+        check()
+
     def test_tally_equals_cubic_enumeration(self, family):
         @ORACLES
         @given(FAMILIES[family], AREAS, st.sampled_from((F(0), F(1, 2), F(-2, 3))))
@@ -222,3 +238,11 @@ def test_non_triangular_pair_count_raises():
     assert members_from_pairs(6) == 4
     with pytest.raises(InvariantViolation):
         members_from_pairs(5)
+
+
+def test_line_sizes_must_hold_every_pair_once():
+    # Four points: six 2-point lines, or one 3-point line and three 2-point lines.
+    assert (stats_from_sizes(4, 2, Counter({2: 6})).m, stats_from_sizes(4, 3, Counter({3: 1, 2: 3})).N) == (6, 3)
+    for sizes in (Counter({2: 5}), Counter({3: 1, 2: 4}), Counter({4: 1, 2: 1})):
+        with pytest.raises(InvariantViolation):
+            stats_from_sizes(4, 2, sizes)
