@@ -17,9 +17,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
-# find_shear, shear and incidence_pairs are not called here; callers look them up on this module.
+# find_shear, shear, incidence_pairs and count_real_roots are not called here; callers look them up
+# on this module.
 from .geometry import (
     GeometryError,
     InvariantViolation,
@@ -46,6 +48,7 @@ from .polynomial import (
     poly_gcd,
     rational_factors,
     rational_roots,
+    real_and_rational_roots,
     substitute,
     sylvester_resultant_y,
     times_linear,
@@ -101,12 +104,6 @@ class LinearForm:
 
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         return self.cx * Fraction(x) + self.cy * Fraction(y) + self.c0
-
-    def as_line(self) -> Line:
-        return Line(self.cx, self.cy, self.c0)
-
-    def shifted(self, delta: Fraction) -> "LinearForm":
-        return LinearForm(self.cx, self.cy, self.c0 + delta)
 
 
 @dataclass(frozen=True)
@@ -228,30 +225,41 @@ class CurveCase:
 
     @property
     def bundle(self) -> LinearFormBundle | None:
-        """The curve's linear-form bundle, built in Fractions on each read."""
-        return None if self.curve is None else make_bundle(*self.generators)
+        """The curve's linear-form bundle: `match_curve`'s integer forms over
+        their denominators, built on each read."""
+        if self.curve is None:
+            return None
+        values, w, forms = _bundle_forms(*self.generators)
+        l1, l2, l3, l4, l5 = (LinearForm(*(Fraction(c, w * w) for c in form)) for form in forms[:5])
+        l6 = LinearForm(*(Fraction(c, w**4) for c in forms[5]))
+        c = Fraction(values[2] - values[5], w)
+        return LinearFormBundle(l1, l2, l3, l4, l5, l6, c, l6.cx, l6.cy, l6.c0, l4.c0 - l2.c0)
 
 
-def _pair_form(a: Fraction, b: Fraction, kappa: Fraction) -> LinearForm:
-    # y - b - kappa*(x - a)
-    return LinearForm(-kappa, Fraction(1), kappa * a - b)
-
-
-def make_bundle(p1: IncidencePairParam, p2: IncidencePairParam) -> LinearFormBundle:
-    a1, b1, k1 = p1.a, p1.b, p1.kappa
-    a2, b2, k2 = p2.a, p2.b, p2.kappa
-    l1 = _pair_form(a1, b1, k1)
-    l2 = _pair_form(a2, b2, k2)
-    l3 = LinearForm(b2 - b1, -(a2 - a1), a2 * b1 - a1 * b2)
-    l4 = LinearForm(-k2, Fraction(1), k2 * a1 - b1)
-    l5 = LinearForm(-k1, Fraction(1), k1 * a2 - b2)
-    c = k1 - k2
-    d = 2 * k1 * k2 * (a2 - a1) - (k1 + k2) * (b2 - b1)
-    e = 2 * (b2 - b1) - (k1 + k2) * (a2 - a1)
-    f = k1 * k2 * (a1**2 - a2**2) + (k1 + k2) * (a2 * b2 - a1 * b1) + (b1**2 - b2**2)
-    l6 = LinearForm(d, e, f)
-    s = (b2 - b1) - k2 * (a2 - a1)
-    return LinearFormBundle(l1, l2, l3, l4, l5, l6, c, d, e, f, s)
+def _bundle_forms(
+    p1: IncidencePairParam, p2: IncidencePairParam
+) -> tuple[list[int], int, list[tuple[int, int, int]]]:
+    """The six generator values (a1, b1, k1, a2, b2, k2) over one denominator
+    w, and the bundle's forms (cx, cy, c0) on them: L1..L5 times w^2, then L6
+    = D*x + E*y + F times w^4, with L6 = L1*L4 - L2*L5 checked."""
+    values, w = cleared((p1.a, p1.b, p1.kappa, p2.a, p2.b, p2.kappa))
+    a1, b1, k1, a2, b2, k2 = values
+    da, db, ks, ww = a2 - a1, b2 - b1, k1 + k2, w * w
+    forms = [
+        (-k1 * w, ww, k1 * a1 - b1 * w),
+        (-k2 * w, ww, k2 * a2 - b2 * w),
+        (db * w, -da * w, a2 * b1 - a1 * b2),
+        (-k2 * w, ww, k2 * a1 - b1 * w),
+        (-k1 * w, ww, k1 * a2 - b2 * w),
+        (
+            w * (2 * k1 * k2 * da - ks * db * w),
+            ww * (2 * db * w - ks * da),
+            k1 * k2 * (a1 * a1 - a2 * a2) + ks * (a2 * b2 - a1 * b1) * w + (b1 * b1 - b2 * b2) * ww,
+        ),
+    ]
+    if not _l6_holds(*forms[:2], *forms[3:]):
+        raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
+    return values, w, forms
 
 
 def match_curve(p1: IncidencePairParam, p2: IncidencePairParam) -> CurveCase:
@@ -264,31 +272,18 @@ def match_curve(p1: IncidencePairParam, p2: IncidencePairParam) -> CurveCase:
     triple line). When one generator's point lies on the other's line the
     curve exists but its leading form carries that line squared.
     """
-    # The six generator values over one denominator w; below, every form is
-    # w^2 times the bundle's, and l6 is w^4 times L6 = D*x + E*y + F.
-    (a1, b1, k1, a2, b2, k2), w = cleared((p1.a, p1.b, p1.kappa, p2.a, p2.b, p2.kappa))
+    (a1, b1, k1, a2, b2, k2), w, (l1, l2, l3, _, _, l6) = _bundle_forms(p1, p2)
     if (a1, b1, k1) == (a2, b2, k2):
         raise SamePair("need two distinct incidence pairs")
     if (a1, b1) == (a2, b2):
         return CurveCase(CurveTag.EMPTY, None, (p1, p2))
-    da, db, ks, ww = a2 - a1, b2 - b1, k1 + k2, w * w
+    da, db, ww = a2 - a1, b2 - b1, w * w
     # w^2 * L1(p2) and -w^2 * L2(p1): zero when a point lies on the other line.
     off1, off2 = db * w - k1 * da, db * w - k2 * da
     if k1 == k2 and off1 == 0:
         return CurveCase(CurveTag.UNDEFINED, None, (p1, p2))
-    l1 = (-k1 * w, ww, k1 * a1 - b1 * w)
-    l2 = (-k2 * w, ww, k2 * a2 - b2 * w)
-    l4 = (-k2 * w, ww, k2 * a1 - b1 * w)
-    l5 = (-k1 * w, ww, k1 * a2 - b2 * w)
-    l6 = (
-        w * (2 * k1 * k2 * da - ks * db * w),
-        ww * (2 * db * w - ks * da),
-        k1 * k2 * (a1 * a1 - a2 * a2) + ks * (a2 * b2 - a1 * b1) * w + (b1 * b1 - b2 * b2) * ww,
-    )
-    if not _l6_holds(l1, l2, l4, l5, l6):
-        raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
     # w^6 times the curve L1*L2*L3 + 2*L6 + 4*C, with C = k1 - k2.
-    product = times_linear(times_linear([0] * 7 + list(l1), *l2), db * w, -da * w, a2 * b1 - a1 * b2)
+    product = times_linear(times_linear([0] * 7 + list(l1), *l2), *l3)
     for k, c in zip((7, 8, 9), l6):
         product[k] += 2 * ww * c
     product[9] += 4 * ww * ww * w * (k1 - k2)
@@ -299,16 +294,6 @@ def match_curve(p1: IncidencePairParam, p2: IncidencePairParam) -> CurveCase:
     else:
         tag = CurveTag.GENERAL
     return CurveCase(tag, BivariateCubic.from_ints(product), (p1, p2))
-
-
-@dataclass(frozen=True)
-class MatchSurface:
-    """The surface of all parameter triples matching one generator."""
-
-    generator: IncidencePairParam
-
-    def contains(self, x: Fraction, y: Fraction, w: Fraction) -> bool:
-        return matches_ccw(self.generator, IncidencePairParam.from_triple(x, y, w))
 
 
 @dataclass(frozen=True)
@@ -409,31 +394,34 @@ def _double_factor_asymptotes(f: Sequence[int], double: Line, simple: Line) -> t
     return Line(2 * g * double.A, 2 * g * double.B, guv), v_line
 
 
-def asymptotes(cubic: BivariateCubic) -> list[Line]:
-    """All asymptotes recoverable from rational leading-form factors, exactly.
+def _asymptote_lines(f: Sequence[int], lf: LeadingFormFactors) -> tuple[list[Line], bool]:
+    """The asymptotes of the leading form's rational factors, and whether
+    the form has the squared-line shape (double)^2 * (simple), whose two
+    asymptotes then come double first.
 
     Simple factors go through the offset formula; a squared factor is handled
     via the squared-line normal form. Triple factors and shapes outside those
     two are refused rather than guessed.
     """
-    f = cubic.coeffs
-    if not any(f[:4]):
-        raise NonSimpleFactorUnsupported("asymptote analysis needs a cubic")
-    lf = leading_form_factors(cubic)
-    mults = sorted(m for _, m in lf.factors)
-    if 3 in mults:
+    by_mult = {m: line for line, m in lf.factors}
+    if 3 in by_mult:
         raise NonSimpleFactorUnsupported("triple linear factor")
-    if 2 in mults:
-        doubles = [line for line, m in lf.factors if m == 2]
-        simples = [line for line, m in lf.factors if m == 1]
-        if len(doubles) != 1 or len(simples) != 1:
-            raise NonSimpleFactorUnsupported("unsupported repeated-factor shape")
-        d_line, s_line = _double_factor_asymptotes(f, doubles[0], simples[0])
-        return sorted([d_line, s_line])
-    simples = [line for line, m in lf.factors if m == 1]
-    if not simples:
+    if 2 not in by_mult:
+        return [_simple_asymptote(f, line) for line, _ in lf.factors], False
+    if len(lf.factors) != 2:
+        raise NonSimpleFactorUnsupported("unsupported repeated-factor shape")
+    return list(_double_factor_asymptotes(f, by_mult[2], by_mult[1])), True
+
+
+def asymptotes(cubic: BivariateCubic) -> list[Line]:
+    """All asymptotes recoverable from rational leading-form factors, exactly
+    (see `_asymptote_lines`)."""
+    if not any(cubic.coeffs[:4]):
+        raise NonSimpleFactorUnsupported("asymptote analysis needs a cubic")
+    lines, _ = _asymptote_lines(cubic.coeffs, leading_form_factors(cubic))
+    if not lines:
         raise NonSimpleFactorUnsupported("no rational linear factor in the leading form")
-    return sorted(_simple_asymptote(f, line) for line in simples)
+    return sorted(lines)
 
 
 # Slots of U^i V^j for i = 0..3-j, one tuple per j.
@@ -463,10 +451,6 @@ def has_linear_factor(cubic: BivariateCubic) -> Line | None:
     return None
 
 
-def _midpoint(p: Point, q: Point) -> Point:
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-
 def reconstruct_generators(
     cubic: BivariateCubic,
 ) -> tuple[IncidencePairParam, IncidencePairParam]:
@@ -484,31 +468,22 @@ def reconstruct_generators(
     if not any(cubic.coeffs[:4]):
         raise NotAMatchCurve("match curves are cubic")
     lf = leading_form_factors(cubic)
-    mults = sorted(m for _, m in lf.factors)
-    if 3 in mults:
-        raise NonSimpleFactorUnsupported("triple linear factor")
-    if 2 in mults:
-        pair = _reconstruct_squared_line(cubic.coeffs, lf)
+    lines, squared = _asymptote_lines(cubic.coeffs, lf)
+    if squared:
+        pair = _reconstruct_squared_line(cubic.coeffs, *lines)
+    elif lf.remainder is not None or len(lines) != 3:
+        raise NonSimpleFactorUnsupported("leading form does not split into three lines")
     else:
-        pair = _reconstruct_general(cubic.coeffs, lf)
+        pair = _reconstruct_general(cubic.coeffs, lines)
     regenerated = match_curve(pair[0], pair[1])
     if regenerated.curve != cubic:
         raise NotAMatchCurve("curve is not generated by any incidence pair")
     return pair
 
 
-def _sorted_pair(
-    q1: IncidencePairParam, q2: IncidencePairParam
-) -> tuple[IncidencePairParam, IncidencePairParam]:
-    return (q1, q2) if q1 <= q2 else (q2, q1)
-
-
 def _reconstruct_general(
-    f: Sequence[int], lf: LeadingFormFactors
+    f: Sequence[int], asys: list[Line]
 ) -> tuple[IncidencePairParam, IncidencePairParam]:
-    if lf.remainder is not None or len(lf.factors) != 3:
-        raise NonSimpleFactorUnsupported("leading form does not split into three lines")
-    asys = [_simple_asymptote(f, line) for line, _ in lf.factors]
     product = [0] * 7 + [asys[0].A, asys[0].B, asys[0].C]
     for line in asys[1:]:
         product = times_linear(product, line.A, line.B, line.C)
@@ -530,61 +505,47 @@ def _reconstruct_general(
         ]
     except ParallelLines as exc:
         raise NonSimpleFactorUnsupported("parallel asymptotes") from exc
-    hits = []
-    for i in range(3):
-        others = [verts[j] for j in range(3) if j != i]
-        mid = _midpoint(others[0], others[1])
-        dx, dy = mid.x - verts[i].x, mid.y - verts[i].y
-        if rx * dx + ry * dy == 0:
-            hits.append(i)
+    # The median from vertex i to the others' midpoint runs along (sum - 3 * vertex i) / 2.
+    sx, sy = sum(v.x for v in verts), sum(v.y for v in verts)
+    hits = [i for i, v in enumerate(verts) if rx * (sx - 3 * v.x) + ry * (sy - 3 * v.y) == 0]
     if len(hits) > 1:
         raise AmbiguousMedian("several medians parallel to the linear remainder")
     if not hits:
         raise NotAMatchCurve("no median parallel to the linear remainder")
     o_index = hits[0]
-    o_lines = [asys[j] for j in range(3) if j != o_index]
+    others = [verts[j] for j in range(3) if j != o_index]
     pairs = []
-    for line in o_lines:
-        others = [verts[j] for j in range(3) if j != o_index]
-        on_line = [p for p in others if line.contains(p)]
-        if len(on_line) != 1:
+    for line in (asys[j] for j in range(3) if j != o_index):
+        points = [p for p in others if line.contains(p)]
+        if len(points) != 1:
             raise NotAMatchCurve("asymptote triangle is degenerate")
         try:
-            pairs.append(to_param(line, on_line[0]))
+            pairs.append(to_param(line, points[0]))
         except VerticalLine as exc:
             raise NotAMatchCurve("generator line would be vertical") from exc
-    return _sorted_pair(pairs[0], pairs[1])
+    return tuple(sorted(pairs))
 
 
 def _reconstruct_squared_line(
-    f: Sequence[int], lf: LeadingFormFactors
+    f: Sequence[int], line1: Line, line2: Line
 ) -> tuple[IncidencePairParam, IncidencePairParam]:
-    doubles = [line for line, m in lf.factors if m == 2]
-    simples = [line for line, m in lf.factors if m == 1]
-    if len(doubles) != 1 or len(simples) != 1:
-        raise NonSimpleFactorUnsupported("unsupported repeated-factor shape")
-    line1, line2 = _double_factor_asymptotes(f, doubles[0], simples[0])
     if line1.is_vertical or line2.is_vertical:
         raise NotAMatchCurve("generator line would be vertical")
     k1, k2 = line1.slope(), line2.slope()
-    # Unit-y-coefficient forms match the parametrized forms exactly.
-    form1 = LinearForm(Fraction(line1.A, line1.B), Fraction(1), Fraction(line1.C, line1.B))
     # The curve meets the simple asymptote, x = t and B*y = -A*t - C, once.
     section = on_line(f, (0, line2.B), (-line2.C, -line2.A), line2.B)
     if len(section) != 2:
         raise NotAMatchCurve("curve does not meet the simple asymptote once")
     x0 = Fraction(-section[0], section[1])
-    y0 = k2 * x0 - Fraction(line2.C, line2.B)
-    val = form1.evaluate(x0, y0)
+    # L1, the first line on the unit-y scale, is 2 / (a1 - a2) at that point.
+    val = line1.evaluate(Point(x0, k2 * x0 - Fraction(line2.C, line2.B))) / line1.B
     if val == 0:
         raise NotAMatchCurve("crossing point lies on the double line")
-    a1_minus_a2 = 2 / val
-    c = k1 - k2
-    s = -c * a1_minus_a2
-    form4 = LinearForm(Fraction(line2.A, line2.B), Fraction(1), Fraction(line2.C, line2.B) + s)
-    p1 = intersect(line1, form4.as_line())
+    # L4 = L2 + s, with s = -C * (a1 - a2) and C = k1 - k2.
+    s = -(k1 - k2) * 2 / val
+    p1 = intersect(line1, Line(line2.A, line2.B, line2.C + s * line2.B))
     p2 = intersect(line1, line2)
-    return _sorted_pair(to_param(line1, p1), to_param(line2, p2))
+    return tuple(sorted((to_param(line1, p1), to_param(line2, p2))))
 
 
 @dataclass(frozen=True)
@@ -614,9 +575,9 @@ def curve_intersection_bound(f: BivariateCubic, g: BivariateCubic) -> CurveInter
     resultant = sylvester_resultant_y(*(BivariatePoly(dict(zip(MONOMIALS, c))) for c in (fs, gs)))
     if resultant.is_zero():
         raise InfiniteSharedComponent("curves share a component")
-    upper = count_real_roots(resultant)
+    upper, roots = real_and_rational_roots(resultant)
     points = set()
-    for x0 in rational_roots(resultant):
+    for x0 in roots:
         common = poly_gcd(*(UnivariatePoly(x_section(c, x0.numerator, x0.denominator)) for c in (fs, gs)))
         for y0 in rational_roots(common):
             candidate = Point(x0 + t * y0, y0)
@@ -632,16 +593,17 @@ class TripleCommonPoints:
 
 
 def triple_common_points(
-    s1: MatchSurface, s2: MatchSurface, s3: MatchSurface
+    g1: IncidencePairParam, g2: IncidencePairParam, g3: IncidencePairParam
 ) -> TripleCommonPoints:
-    """Bound the parameter triples incident to three distinct surfaces.
+    """Bound the parameter triples matching three distinct generators, the
+    common points of their match surfaces.
 
     Common points project into the intersection of the two projection curves
     through the first surface, so the plane bound applies; each exact rational
     plane point is lifted back to its unique slope coordinate and kept only
-    when all three surfaces contain it.
+    when it matches all three generators.
     """
-    gens = (s1.generator, s2.generator, s3.generator)
+    gens = (g1, g2, g3)
     if len(set(gens)) != 3:
         raise ValueError("generators must be pairwise distinct")
     c12 = match_curve(gens[0], gens[1])
@@ -830,9 +792,8 @@ def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
             continue
         for _ in range(40):
             trio = rng.sample(range(len(incidences)), 3)
-            surfaces = [MatchSurface(_incidence_param(incidences[i], j)) for i in trio]
             try:
-                result = triple_common_points(*surfaces)
+                result = triple_common_points(*(_incidence_param(incidences[i], j) for i in trio))
             except DegenerateTriple:
                 continue
             except InfiniteSharedComponent:
@@ -855,24 +816,17 @@ def _run_scan(kind: str, trials: int, seed: int, threads: int) -> ScanReport:
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if threads <= 1 or trials <= 1:
-        max_value, violations = _scan_chunk(kind, seed, 0, trials)
-        return ScanReport(trials, max_value, violations)
-    chunk = max(1, (trials + threads - 1) // threads)
-    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    max_value = 0
-    violations = 0
-    # Imported here: the pool loads multiprocessing, which nothing else needs.
-    from concurrent.futures import ProcessPoolExecutor
+        chunks = [_scan_chunk(kind, seed, 0, trials)]
+    else:
+        chunk = max(1, (trials + threads - 1) // threads)
+        los = range(0, trials, chunk)
+        his = [min(lo + chunk, trials) for lo in los]
+        # Imported here: the pool loads multiprocessing, which nothing else needs.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for mv, vi in pool.map(_scan_chunk_star, [(kind, seed, lo, hi) for lo, hi in ranges]):
-            max_value = max(max_value, mv)
-            violations += vi
-    return ScanReport(trials, max_value, violations)
-
-
-def _scan_chunk_star(args: tuple[str, int, int, int]) -> tuple[int, int]:
-    return _scan_chunk(*args)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            chunks = list(pool.map(_scan_chunk, repeat(kind), repeat(seed), los, his))
+    return ScanReport(trials, max(mv for mv, _ in chunks), sum(vi for _, vi in chunks))
 
 
 def bezout_scan(trials: int, seed: int = 0, threads: int = 1) -> ScanReport:

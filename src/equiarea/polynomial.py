@@ -1,7 +1,8 @@
 """Small exact polynomial kit over the rationals.
 
 Univariate: a Fraction-coefficient container; gcd, squarefree part, Sturm
-real-root counting, rational roots and root isolation on primitive integer
+real-root counting, rational roots (with the real-root count from the same
+isolation) and root isolation on primitive integer
 coefficient tuples (signed pseudo-remainders, homogeneous Horner signs at
 dyadic points, no integer factoring). Bivariate: a cubic kit on 10 integer
 coefficients in MONOMIALS order (products with linear forms, affine
@@ -219,24 +220,33 @@ def _real_roots(a: tuple[int, ...], width: Fraction) -> list[_Interval]:
     return hits + [_narrow(a, interval, width) for interval in intervals]
 
 
-def rational_roots(p: UnivariatePoly) -> list[Fraction]:
-    """All distinct rational roots, exactly, without integer factorization.
+def real_and_rational_roots(p: UnivariatePoly) -> tuple[int, list[Fraction]]:
+    """The number of distinct real roots and all distinct rational roots,
+    exactly, from one squarefree part and one isolation; no integer
+    factorization.
 
-    A rational root of the primitive squarefree part is k/L for an integer k,
-    with L its |leading coefficient|, and an open interval no wider than 1/L
-    holds at most one such fraction: each root's narrowed interval has one
-    candidate, which exact evaluation decides.
+    The isolation leaves one interval per real root. A rational root of the
+    primitive squarefree part is k/L for an integer k, with L its |leading
+    coefficient|, and an open interval no wider than 1/L holds at most one
+    such fraction: each root's narrowed interval has one candidate, which
+    exact evaluation decides.
     """
     if p.degree <= 0:
-        return []
+        return 0, []
     sf = _squarefree(_ints(p))
     lead, roots = abs(sf[-1]), set()
-    for lo, hi, d in _real_roots(sf, Fraction(1, lead)):
+    isolated = _real_roots(sf, Fraction(1, lead))
+    for lo, hi, d in isolated:
         if lo == hi:
             roots.add(Fraction(lo, d))
         elif (k := lo * lead // d + 1) * d < hi * lead and _value(sf, k, lead) == 0:
             roots.add(Fraction(k, lead))
-    return sorted(roots)
+    return len(isolated), sorted(roots)
+
+
+def rational_roots(p: UnivariatePoly) -> list[Fraction]:
+    """All distinct rational roots, exactly (see `real_and_rational_roots`)."""
+    return real_and_rational_roots(p)[1]
 
 
 def rational_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[Fraction, int]]:

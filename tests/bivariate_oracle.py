@@ -1,5 +1,6 @@
 """The Fraction arithmetic on `BivariatePoly` and `UnivariatePoly` that the
-package used before its integer kits, kept as the tests' oracle.
+package used before its integer kits, and the Fraction `make_bundle` of a
+generator pair, kept as the tests' oracles.
 
 Both classes here subclass the package's containers, so their instances go
 wherever the package takes one (`BivariateCubic.from_poly`,
@@ -14,6 +15,8 @@ import math
 from fractions import Fraction
 
 from equiarea import polynomial
+from equiarea.curves import LinearForm, LinearFormBundle
+from equiarea.matching import IncidencePairParam
 
 
 class UnivariatePoly(polynomial.UnivariatePoly):
@@ -206,3 +209,21 @@ class BivariatePoly(polynomial.BivariatePoly):
         quo_u = BivariatePoly({(i - 1, j): c for (i, j), c in fu.coeffs.items() if i >= 1})
         rem_u = BivariatePoly({(0, j): c for (i, j), c in fu.coeffs.items() if i == 0})
         return quo_u.substitute(back_u, back_v), rem_u.substitute(back_u, back_v)
+
+
+def make_bundle(p1: IncidencePairParam, p2: IncidencePairParam) -> LinearFormBundle:
+    """The linear-form bundle of two generators, written out in Fractions."""
+    a1, b1, k1 = p1.a, p1.b, p1.kappa
+    a2, b2, k2 = p2.a, p2.b, p2.kappa
+    l1 = LinearForm(-k1, Fraction(1), k1 * a1 - b1)  # y - b1 - k1*(x - a1)
+    l2 = LinearForm(-k2, Fraction(1), k2 * a2 - b2)
+    l3 = LinearForm(b2 - b1, -(a2 - a1), a2 * b1 - a1 * b2)
+    l4 = LinearForm(-k2, Fraction(1), k2 * a1 - b1)
+    l5 = LinearForm(-k1, Fraction(1), k1 * a2 - b2)
+    c = k1 - k2
+    d = 2 * k1 * k2 * (a2 - a1) - (k1 + k2) * (b2 - b1)
+    e = 2 * (b2 - b1) - (k1 + k2) * (a2 - a1)
+    f = k1 * k2 * (a1**2 - a2**2) + (k1 + k2) * (a2 * b2 - a1 * b1) + (b1**2 - b2**2)
+    l6 = LinearForm(d, e, f)
+    s = (b2 - b1) - k2 * (a2 - a1)
+    return LinearFormBundle(l1, l2, l3, l4, l5, l6, c, d, e, f, s)

@@ -32,7 +32,6 @@ from equiarea.curves import (
     curve_intersection_bound,
     has_linear_factor,
     leading_form_factors,
-    make_bundle,
     match_curve,
     reconstruct_generators,
 )
@@ -59,7 +58,7 @@ from equiarea.polynomial import (
     x_section,
 )
 
-from bivariate_oracle import BivariatePoly, UnivariatePoly
+from bivariate_oracle import BivariatePoly, UnivariatePoly, make_bundle
 
 ORACLES = settings(
     derandomize=True,

@@ -19,7 +19,6 @@ from equiarea.curves import (
     DegenerateTriple,
     InfiniteSharedComponent,
     LinearForm,
-    MatchSurface,
     NonSimpleFactorUnsupported,
     NotAMatchCurve,
     SamePair,
@@ -28,7 +27,6 @@ from equiarea.curves import (
     curve_intersection_bound,
     has_linear_factor,
     leading_form_factors,
-    make_bundle,
     match_curve,
     random_general_position_pair,
     random_point_on_line_pair,
@@ -38,7 +36,7 @@ from equiarea.curves import (
 from equiarea.geometry import Line, Point
 from equiarea.matching import IncidencePairParam, matches_ccw
 
-from bivariate_oracle import BivariatePoly
+from bivariate_oracle import BivariatePoly, make_bundle
 
 P1 = IncidencePairParam.from_triple(0, 0, 0)          # line y = 0
 P2 = IncidencePairParam.from_triple(1, 2, 1)          # line y = x + 1
@@ -75,11 +73,12 @@ def partner_matching(rng, x, y, w):
 class TestBundle:
     def test_changed_l6_is_rejected(self):
         bundle = make_bundle(P1, P2)
+        shifted = LinearForm(bundle.L6.cx, bundle.L6.cy, bundle.L6.c0 + 1)
         with pytest.raises(CurveError):
-            dataclasses.replace(bundle, L6=bundle.L6.shifted(F(1)))
+            dataclasses.replace(bundle, L6=shifted)
         # Moving F along with L6 still breaks L6 = L1*L4 - L2*L5.
         with pytest.raises(CurveError):
-            dataclasses.replace(bundle, L6=bundle.L6.shifted(F(1)), F=bundle.F + 1)
+            dataclasses.replace(bundle, L6=shifted, F=bundle.F + 1)
 
     def test_worked_example_forms(self):
         bundle = match_curve(P1, P2).bundle
@@ -180,8 +179,8 @@ class TestMatchCurveCases:
                 den = l1v * (x - gen.a) + 2
                 assert den != 0
                 assert (l1v * (y - gen.b) + 2 * gen.kappa) / den == w
-            assert MatchSurface(g1).contains(x, y, w)
-            assert MatchSurface(g2).contains(x, y, w)
+            assert matches_ccw(g1, IncidencePairParam.from_triple(x, y, w))
+            assert matches_ccw(g2, IncidencePairParam.from_triple(x, y, w))
 
 
 class TestCanonicalCubic:
@@ -410,9 +409,7 @@ class TestTripleCommonPoints:
         shared_point = IncidencePairParam.from_triple(0, 0, 0)
         also_there = IncidencePairParam.from_triple(0, 0, 1)
         third = IncidencePairParam.from_triple(5, 1, 2)
-        result = triple_common_points(
-            MatchSurface(shared_point), MatchSurface(also_there), MatchSurface(third)
-        )
+        result = triple_common_points(shared_point, also_there, third)
         assert result.upper_bound == 0
         assert result.rational_witnesses == ()
 
@@ -421,7 +418,7 @@ class TestTripleCommonPoints:
         q2 = IncidencePairParam.from_triple(1, 0, 0)
         q3 = IncidencePairParam.from_triple(5, 1, 2)
         with pytest.raises(DegenerateTriple):
-            triple_common_points(MatchSurface(q1), MatchSurface(q2), MatchSurface(q3))
+            triple_common_points(q1, q2, q3)
 
     def test_constructed_witness_appears(self):
         rng = random.Random(93)
@@ -431,14 +428,13 @@ class TestTripleCommonPoints:
             g = partner_matching(rng, x, y, w)
             if all(g != h and g.point != h.point and g.line != h.line for h in gens):
                 gens.append(g)
-        result = triple_common_points(*map(MatchSurface, gens))
+        result = triple_common_points(*gens)
         assert result.upper_bound <= 9
         assert (x, y, w) in result.rational_witnesses
 
     def test_duplicate_generators_rejected(self):
-        s = MatchSurface(P1)
         with pytest.raises(ValueError):
-            triple_common_points(s, s, MatchSurface(P2))
+            triple_common_points(P1, P1, P2)
 
 
 class TestConvergenceProbe:

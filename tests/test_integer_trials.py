@@ -4,10 +4,11 @@ Fraction oracles, and the scans' per-trial bounds pinned.
 `curves._sheared_incidences` finds the trial's shear on integer points and
 lists the incidences from `incidence.rich_table`; its list, parametrized,
 must be `incidence_pairs(shear(points, find_shear(points)), 2)` in content and
-order, since the trial draws its surfaces by index. `match_curve` builds the
-curve from the generators' cleared values; the Fraction `make_bundle` product
-and `Line.contains` give the oracle curve and tag. Examples are derandomized,
-so every run draws the same inputs.
+order, since the trial draws its generators by index. `match_curve` builds
+the curve from the generators' cleared values, and `CurveCase.bundle` divides
+the same integer forms back; the Fraction `make_bundle` of `bivariate_oracle`
+gives the oracle bundle, its product the oracle curve, and `Line.contains` the
+oracle tag. Examples are derandomized, so every run draws the same inputs.
 """
 
 from fractions import Fraction as F
@@ -17,11 +18,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from equiarea import curves
-from equiarea.curves import CurveTag, ScanReport, bezout_scan, k310_scan, make_bundle, match_curve
+from equiarea.curves import CurveTag, ScanReport, bezout_scan, k310_scan, match_curve
 from equiarea.geometry import Point, find_shear, shear
 from equiarea.incidence import incidence_pairs
 from equiarea.matching import IncidencePairParam
 
+from bivariate_oracle import make_bundle
 from test_cubic_kit import PARAM, any_pairs, general_pairs, oracle_match_coeffs, point_on_line_pairs
 
 ORACLES = settings(
