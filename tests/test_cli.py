@@ -167,6 +167,15 @@ class TestScaling:
         assert strip_seconds(a) == strip_seconds(b)
 
 
+# Curve documents whose error message is pinned.
+MALFORMED_CURVE_MESSAGES = {
+    '{"coefficients": []}': "zero polynomial is not a curve",
+    '[[1, 1, "0"]]': "zero polynomial is not a curve",
+    '[[1, 1, "1/2"], [1, 1, "-1/2"]]': "zero polynomial is not a curve",
+    '[[4, 0, "1"]]': "monomial x^4 y^0 out of range",
+}
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "--input", "/nonexistent/pts.txt", "--area", "1")
@@ -183,13 +192,17 @@ class TestErrorPaths:
         code, _, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "0.5")
         assert code == 2 and "rational" in err
 
-    @pytest.mark.parametrize("document", ['{"coefficients": [[3, 0]]}', '{"coefficients": 5}'])
+    @pytest.mark.parametrize(
+        "document", ['{"coefficients": [[3, 0]]}', '{"coefficients": 5}', *MALFORMED_CURVE_MESSAGES]
+    )
     def test_malformed_curve_document_exits_two(self, capsys, tmp_path, document):
         path = tmp_path / "curve.json"
         path.write_text(document)
         code, out, err = run(capsys, "reconstruct", "--in", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if document in MALFORMED_CURVE_MESSAGES:
+            assert err == f"error: {MALFORMED_CURVE_MESSAGES[document]}\n"
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
