@@ -419,12 +419,11 @@ def scaling_experiment(
     k: int = 2,
     area: Fraction | int | None = None,
     seed: int = 0,
-    matching_limit: int = MATCHING_SIZE_LIMIT,
 ) -> list[ExperimentRow]:
     """One row per size; count, m and N from one pass over each size's point pairs.
 
     The matching count and richness tally are only computed for sizes up to
-    matching_limit; above it their CSV cells stay blank. For lattice sections the
+    MATCHING_SIZE_LIMIT; above it their CSV cells stay blank. For lattice sections the
     normalized count/n^2 must be non-decreasing across the run.
     """
     if list(sizes) != sorted(sizes):
@@ -436,7 +435,7 @@ def scaling_experiment(
         points = _generate(kind, n, seed + n)
         count, stats = _census(points, k, area)
         m_val, tally = None, (None,) * 4
-        if n <= matching_limit:
+        if n <= MATCHING_SIZE_LIMIT:
             report = matching_identity_check(points, k, area)
             if not report.holds:
                 raise InvariantViolation(f"matching identity failed at n={n}")

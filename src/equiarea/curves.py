@@ -37,10 +37,10 @@ from .incidence import incidence_pairs, key_line, rich_table
 from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
     MONOMIALS,
-    BivariatePoly,
     UnivariatePoly,
     cleared,
     count_real_roots,
+    cubic_degree,
     cubic_value,
     form_value,
     nearest_real_root,
@@ -169,14 +169,6 @@ class BivariateCubic:
             raise ValueError("need a nonzero coefficient vector of length 10")
 
     @classmethod
-    def from_poly(cls, p: BivariatePoly) -> "BivariateCubic":
-        if p.is_zero():
-            raise ValueError("zero polynomial is not a curve")
-        if p.total_degree() > 3:
-            raise ValueError("degree exceeds 3")
-        return cls.from_ints(cleared(p.coeff(i, j) for i, j in MONOMIALS)[0])
-
-    @classmethod
     def from_ints(cls, ints: Sequence[int]) -> "BivariateCubic":
         """The curve of an integer coefficient vector in MONOMIALS order."""
         g = math.gcd(*ints)
@@ -187,15 +179,12 @@ class BivariateCubic:
     def coeff(self, i: int, j: int) -> int:
         return self.coeffs[MONOMIALS.index((i, j))]
 
-    def poly(self) -> BivariatePoly:
-        return BivariatePoly({m: c for m, c in zip(MONOMIALS, self.coeffs) if c != 0})
-
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         (xn, yn), w = cleared((Fraction(x), Fraction(y)))
         return Fraction(cubic_value(self.coeffs, xn, yn, w), w**3)
 
     def total_degree(self) -> int:
-        return next(i + j for (i, j), c in zip(MONOMIALS, self.coeffs) if c)
+        return cubic_degree(self.coeffs)
 
     def coefficient_list(self) -> list[list]:
         """JSON form: [[i, j, "coeff"], ...] for nonzero monomials in canonical order."""
@@ -203,9 +192,11 @@ class BivariateCubic:
 
     @classmethod
     def from_coefficient_list(cls, entries: Sequence[Sequence]) -> "BivariateCubic":
+        """The curve of a JSON coefficient list; entries for the same monomial
+        add up, and denominators are cleared once."""
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"coefficients must be a list of [i, j, value] entries, not {entries!r}")
-        coeffs: dict[tuple[int, int], Fraction] = {}
+        slots = [Fraction(0)] * len(MONOMIALS)
         for entry in entries:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3
                     and all(isinstance(e, int) for e in entry[:2])):
@@ -213,8 +204,10 @@ class BivariateCubic:
             i, j, val = entry[0], entry[1], Fraction(str(entry[2]))
             if i < 0 or j < 0 or i + j > 3:
                 raise ValueError(f"monomial x^{i} y^{j} out of range")
-            coeffs[(i, j)] = coeffs.get((i, j), Fraction(0)) + val
-        return cls.from_poly(BivariatePoly(coeffs))
+            slots[MONOMIALS.index((i, j))] += val
+        if not any(slots):
+            raise ValueError("zero polynomial is not a curve")
+        return cls.from_ints(cleared(slots)[0])
 
 
 @dataclass(frozen=True)
@@ -302,12 +295,13 @@ class LeadingFormFactors:
 
     leading_form == scale * product(direction^multiplicity) * remainder,
     with each direction a canonical homogeneous Line and the remainder (when
-    present) a primitive integer form with no rational linear factor.
+    present) a form with no rational linear factor: its primitive integer
+    coefficients, x^d first, the first one positive.
     """
 
     scale: Fraction
     factors: tuple[tuple[Line, int], ...]
-    remainder: BivariatePoly | None
+    remainder: tuple[int, ...] | None
 
 
 def leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
@@ -326,11 +320,11 @@ def leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
     y_mult = d + 1 - len(profile)
     factors: list[tuple[Line, int]] = [(Line(0, 1, 0), y_mult)] if y_mult else []
     roots, rest = rational_factors(profile)
-    remainder: BivariatePoly | None = None
+    remainder: tuple[int, ...] | None = None
     product = [1]
     if len(rest) > 1:
         product = [c if rest[-1] > 0 else -c for c in rest]
-        remainder = BivariatePoly({(i, len(rest) - 1 - i): c for i, c in enumerate(product)})
+        remainder = tuple(reversed(product))
     for root, mult in roots:
         factors.append((Line(root.denominator, -root.numerator, 0), mult))
         for _ in range(mult):
@@ -572,7 +566,7 @@ def curve_intersection_bound(f: BivariateCubic, g: BivariateCubic) -> CurveInter
     while form_value(fc[:4], t, 1) == 0 or form_value(gc[:4], t, 1) == 0:
         t += 1
     fs, gs = (substitute(c, (1, t, 0), (0, 1, 0)) for c in (fc, gc))
-    resultant = sylvester_resultant_y(*(BivariatePoly(dict(zip(MONOMIALS, c))) for c in (fs, gs)))
+    resultant = sylvester_resultant_y(fs, gs)
     if resultant.is_zero():
         raise InfiniteSharedComponent("curves share a component")
     upper, roots = real_and_rational_roots(resultant)

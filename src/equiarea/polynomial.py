@@ -4,12 +4,13 @@ Univariate: a Fraction-coefficient container; gcd, squarefree part, Sturm
 real-root counting, rational roots (with the real-root count from the same
 isolation) and root isolation on primitive integer
 coefficient tuples (signed pseudo-remainders, homogeneous Horner signs at
-dyadic points, no integer factoring). Bivariate: a cubic kit on 10 integer
-coefficients in MONOMIALS order (products with linear forms, affine
-substitution scaled by the cube of its denominator, sections and values
-homogeneous in a denominator), and the Sylvester resultant in y by Bareiss
-elimination at integer samples plus Newton interpolation. Denominators are
-cleared once, where a Fraction-valued polynomial or value comes in.
+dyadic points, no integer factoring). Bivariate: one representation, 10
+integer coefficients in MONOMIALS order, and a cubic kit on it (products
+with linear forms, affine substitution scaled by the cube of its
+denominator, sections and values homogeneous in a denominator, the total
+degree), with the Sylvester resultant in y by Bareiss elimination at integer
+samples plus Newton interpolation. Denominators are cleared once, where a
+Fraction-valued polynomial or value comes in.
 """
 
 from __future__ import annotations
@@ -276,48 +277,6 @@ def nearest_real_root(p: UnivariatePoly, width: Fraction) -> Fraction | None:
     return min(near, key=abs, default=None)
 
 
-class BivariatePoly:
-    """Sparse exact polynomial in (x, y), keyed by (i, j) exponent pairs: the
-    form in which a bivariate polynomial comes in and goes out. Arithmetic
-    runs on the integer cubic kit below."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], Fraction | int] | None = None):
-        cleaned: dict[tuple[int, int], Fraction] = {}
-        for key, val in (coeffs or {}).items():
-            v = Fraction(val)
-            if v != 0:
-                cleaned[key] = v
-        self.coeffs = cleaned
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        items = ", ".join(f"x^{i}y^{j}: {c}" for (i, j), c in sorted(self.coeffs.items()))
-        return f"BivariatePoly({{{items}}})"
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(i + j for i, j in self.coeffs)
-
-    def y_degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(j for _, j in self.coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Cubic kit. A polynomial of total degree <= 3 in (x, y) is a sequence of 10
 # ints, its coefficients in MONOMIALS order. A nonzero integer factor changes
@@ -404,14 +363,20 @@ def cubic_value(f: Sequence[int], x: int, y: int, w: int = 1) -> int:
     return form_value(f[:4], x, y) + w * (form_value(f[4:7], x, y) + w * (form_value(f[7:9], x, y) + w * f[9]))
 
 
-def _y_columns(f: BivariatePoly) -> tuple[list[list[int]], int]:
-    """f's y-coefficients as integer polynomials in x, and the common
-    denominator they were scaled by."""
-    ints, den = cleared(f.coeffs.values())
-    cols = [[0] * (f.total_degree() + 1) for _ in range(f.y_degree() + 1)]
-    for (i, j), c in zip(f.coeffs, ints):
+def cubic_degree(f: Sequence[int]) -> int:
+    """Total degree of f, coefficients in MONOMIALS order; -1 for zero."""
+    return next((i + j for (i, j), c in zip(MONOMIALS, f) if c), -1)
+
+
+def _y_columns(f: Sequence[int]) -> list[list[int]]:
+    """f's y-coefficients as polynomials in x, low degree first, up to f's
+    y-degree."""
+    cols = [[0] * 4 for _ in range(4)]
+    for c, (i, j) in zip(f, MONOMIALS):
         cols[j][i] = c
-    return cols, den
+    while cols and not any(cols[-1]):
+        cols.pop()
+    return cols
 
 
 def _bareiss(rows: list[list[int]]) -> int:
@@ -433,23 +398,24 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1]
 
 
-def sylvester_resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
-    """Resultant of f and g with respect to y, as a polynomial in x.
+def sylvester_resultant_y(f: Sequence[int], g: Sequence[int]) -> UnivariatePoly:
+    """Resultant of f and g with respect to y, as a polynomial in x; f and g
+    are integer coefficients in MONOMIALS order.
 
-    Denominators are cleared once. The integer Sylvester determinant is taken
-    by Bareiss elimination at x = 0..D, with D = deg f * deg g the Bezout
-    bound on its degree, and the polynomial is rebuilt from the samples'
-    forward differences (Newton), with one final exact division. Both
-    y-leading coefficients must be nonzero constants (shear the inputs first
-    when necessary) so one fixed matrix shape is valid at every sample.
+    The Sylvester determinant is taken by Bareiss elimination at x = 0..D,
+    with D = deg f * deg g the Bezout bound on its degree, and the polynomial
+    is rebuilt from the samples' forward differences (Newton), with one final
+    exact division. Both y-leading coefficients must be nonzero constants
+    (shear the inputs first when necessary) so one fixed matrix shape is
+    valid at every sample.
     """
-    (fc, fden), (gc, gden) = _y_columns(f), _y_columns(g)
+    fc, gc = _y_columns(f), _y_columns(g)
     n, m = len(fc) - 1, len(gc) - 1
     if n < 1 or m < 1:
         raise ValueError("both polynomials must involve y")
     if any(fc[-1][1:]) or any(gc[-1][1:]):
         raise ValueError("y-leading coefficients must be constants; shear first")
-    bound = f.total_degree() * g.total_degree()
+    bound = cubic_degree(f) * cubic_degree(g)
     values = []
     for x in range(bound + 1):
         frow = [_value(col, x) for col in reversed(fc)]
@@ -468,4 +434,4 @@ def sylvester_resultant_y(f: BivariatePoly, g: BivariatePoly) -> UnivariatePoly:
         scale //= k + 1
     if any(c % fact for c in total):
         raise InvariantViolation("interpolated resultant is not integral")
-    return UnivariatePoly(Fraction(c // fact, fden**m * gden**n) for c in total)
+    return UnivariatePoly(c // fact for c in total)

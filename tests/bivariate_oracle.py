@@ -1,18 +1,22 @@
-"""The Fraction arithmetic on `BivariatePoly` and `UnivariatePoly` that the
-package used before its integer kits, and the Fraction `make_bundle` of a
-generator pair, kept as the tests' oracles.
+"""The Fraction polynomials the package used before its integer kits, and
+the Fraction `make_bundle` of a generator pair, kept as the tests' oracles.
 
-Both classes here subclass the package's containers, so their instances go
-wherever the package takes one (`BivariateCubic.from_poly`,
-`sylvester_resultant_y`, `rational_roots`), and every operation returns the
-subclass. Wrap a polynomial the package returns with `of` before doing
-arithmetic on it.
+`UnivariatePoly` subclasses the package's container, so its instances go
+wherever the package takes one (`rational_roots`, `count_real_roots`), and
+every operation returns the subclass; wrap a polynomial the package returns
+with `of` before doing arithmetic on it. `BivariatePoly` is a sparse
+Fraction polynomial in (x, y) that exists only here: the package's one
+bivariate representation is 10 integer coefficients in MONOMIALS order.
+`slots` clears a polynomial into that form, the way to hand it to the
+package (`BivariateCubic.from_ints`, `sylvester_resultant_y`), and
+`from_slots` reads one back.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from equiarea import polynomial
 from equiarea.curves import LinearForm, LinearFormBundle
@@ -83,16 +87,57 @@ class UnivariatePoly(polynomial.UnivariatePoly):
         return UnivariatePoly(c // g for c in ints) if g else UnivariatePoly()
 
 
+class BivariatePoly:
+    """Sparse exact polynomial in (x, y) with Fraction arithmetic, keyed by
+    (i, j) exponent pairs."""
 
+    __slots__ = ("coeffs",)
 
-class BivariatePoly(polynomial.BivariatePoly):
-    """Sparse exact polynomial in (x, y) with Fraction arithmetic."""
-
-    __slots__ = ()
+    def __init__(self, coeffs: dict[tuple[int, int], Fraction | int] | None = None):
+        cleaned: dict[tuple[int, int], Fraction] = {}
+        for key, val in (coeffs or {}).items():
+            v = Fraction(val)
+            if v != 0:
+                cleaned[key] = v
+        self.coeffs = cleaned
 
     @classmethod
-    def of(cls, p: polynomial.BivariatePoly) -> "BivariatePoly":
-        return cls(p.coeffs)
+    def from_slots(cls, cs: Sequence[int]) -> "BivariatePoly":
+        """The polynomial of coefficients in MONOMIALS order."""
+        return cls(dict(zip(polynomial.MONOMIALS, cs)))
+
+    def slots(self) -> list[int]:
+        """The coefficients in MONOMIALS order, denominators cleared once: the
+        form the package's cubic kit takes."""
+        if self.total_degree() > 3:
+            raise ValueError("degree exceeds 3")
+        return polynomial.cleared(self.coeff(i, j) for i, j in polynomial.MONOMIALS)[0]
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BivariatePoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"x^{i}y^{j}: {c}" for (i, j), c in sorted(self.coeffs.items()))
+        return f"BivariatePoly({{{items}}})"
+
+    def coeff(self, i: int, j: int) -> Fraction:
+        return self.coeffs.get((i, j), Fraction(0))
+
+    def total_degree(self) -> int:
+        if not self.coeffs:
+            return -1
+        return max(i + j for i, j in self.coeffs)
+
+    def y_degree(self) -> int:
+        if not self.coeffs:
+            return -1
+        return max(j for _, j in self.coeffs)
 
     @classmethod
     def zero(cls) -> "BivariatePoly":
@@ -106,7 +151,7 @@ class BivariatePoly(polynomial.BivariatePoly):
     def linear(cls, cx: Fraction | int, cy: Fraction | int, c0: Fraction | int) -> "BivariatePoly":
         return cls({(1, 0): cx, (0, 1): cy, (0, 0): c0})
 
-    def __add__(self, other: polynomial.BivariatePoly) -> "BivariatePoly":
+    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.coeffs)
         for key, val in other.coeffs.items():
             out[key] = out.get(key, Fraction(0)) + val
@@ -115,10 +160,10 @@ class BivariatePoly(polynomial.BivariatePoly):
     def __neg__(self) -> "BivariatePoly":
         return BivariatePoly({k: -v for k, v in self.coeffs.items()})
 
-    def __sub__(self, other: polynomial.BivariatePoly) -> "BivariatePoly":
-        return self + (-BivariatePoly.of(other))
+    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
+        return self + (-other)
 
-    def __mul__(self, other: polynomial.BivariatePoly) -> "BivariatePoly":
+    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         out: dict[tuple[int, int], Fraction] = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():

@@ -183,7 +183,7 @@ def test_criterion_06_irreducibility():
         line_form = BivariatePoly.linear(cx, cy, c0)
         other = BivariatePoly.linear(F(rng.randint(1, 3)), F(rng.randint(-3, 3)), F(rng.randint(-3, 3)))
         product = line_form * (line_form * other + BivariatePoly.constant(1))
-        found = has_linear_factor(BivariateCubic.from_poly(product))
+        found = has_linear_factor(BivariateCubic.from_ints(product.slots()))
         assert found == Line(cx, cy, c0)
     _report(6, "no linear factor on 200 generated curves; planted factor recovered")
 

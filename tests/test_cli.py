@@ -1,10 +1,13 @@
 """CLI adapters: wiring, exit codes, deterministic output."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from equiarea.cli import main
+from equiarea.curves import match_curve
+from equiarea.matching import IncidencePairParam
 
 
 def run(capsys, *argv):
@@ -116,6 +119,24 @@ class TestCurveRoundTrip:
         assert doc["coefficients"] is None
         code, _, err = run(capsys, "reconstruct", "--in", curve_file)
         assert code == 2 and "no curve" in err
+
+    def test_negative_pair_attached_with_equals(self, capsys):
+        # argparse reads a separate value that starts with "-" as an option.
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--pair1", "0,0,0", "--pair2", "-7/2,1/3,-2/5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "curve", "--pair1", "0,0,0", "--pair2=-7/2,1/3,-2/5")
+        assert code == 0 and err == ""
+        case = match_curve(
+            IncidencePairParam.from_triple(0, 0, 0), IncidencePairParam.from_triple(F(-7, 2), F(1, 3), F(-2, 5))
+        )
+        doc = json.loads(out)
+        assert doc["case"] == case.tag.value == "general"
+        assert doc["coefficients"] == case.curve.coefficient_list()
+        bundle = case.bundle
+        assert doc["bundle"]["L6"] == [str(bundle.L6.cx), str(bundle.L6.cy), str(bundle.L6.c0)]
+        assert doc["bundle"]["C"] == str(bundle.C) and doc["bundle"]["s"] == str(bundle.s)
 
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "curve", "--pair1", "0,0,0", "--pair2", "1,0,1")

@@ -266,7 +266,8 @@ class TestScalingExperiment:
         assert first[0] == "lattice" and first[1] == "16"
 
     def test_matching_columns_blank_above_limit(self):
-        rows = scaling_experiment("lattice", [16, 64], k=2, matching_limit=20)
+        assert 16 <= MATCHING_SIZE_LIMIT < 64
+        rows = scaling_experiment("lattice", [16, 64], k=2)
         assert rows[0].M is not None
         assert rows[1].M is None
         csv_row = rows[1].csv().split(",")

@@ -88,7 +88,7 @@ def oracle_coeffs(p: BivariatePoly) -> tuple[int, ...]:
 
 
 def fpoly(cubic: BivariateCubic) -> BivariatePoly:
-    return BivariatePoly.of(cubic.poly())
+    return BivariatePoly.from_slots(cubic.coeffs)
 
 
 def oracle_match_coeffs(q1: IncidencePairParam, q2: IncidencePairParam) -> tuple[int, ...]:
@@ -119,8 +119,8 @@ def oracle_leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
         rem_int = work.primitive()
         if rem_int.coeffs[-1] < 0:
             rem_int = rem_int.scale(-1)
-        remainder = BivariatePoly({(i, work.degree - i): c for i, c in enumerate(rem_int.coeffs)})
-        product = product * remainder
+        remainder = tuple(int(c) for c in reversed(rem_int.coeffs))
+        product = product * BivariatePoly({(i, work.degree - i): c for i, c in enumerate(rem_int.coeffs)})
     key = next(iter(product.coeffs))
     scale = top.coeff(*key) / product.coeff(*key)
     assert product.scale(scale) == top
@@ -288,7 +288,7 @@ def oracle_intersection(f: BivariateCubic, g: BivariateCubic):
     while fp.homogeneous_part(3).evaluate(t, 1) == 0 or gp.homogeneous_part(3).evaluate(t, 1) == 0:
         t += 1
     fs, gs = fp.shear_x(t), gp.shear_x(t)
-    resultant = sylvester_resultant_y(fs, gs)
+    resultant = sylvester_resultant_y(fs.slots(), gs.slots())
     if resultant.is_zero():
         raise InfiniteSharedComponent("curves share a component")
     points = set()
@@ -380,7 +380,7 @@ def arbitrary_cubics(draw, coeff=COEFF):
             top = top * BivariatePoly.linear(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), 0)
         coeffs[:4] = [top.coeff(i, j) for i, j in MONOMIALS[:4]]
     assume(any(coeffs[:4]))
-    return BivariateCubic(oracle_coeffs(BivariatePoly(dict(zip(MONOMIALS, coeffs)))))
+    return BivariateCubic(oracle_coeffs(BivariatePoly.from_slots(coeffs)))
 
 
 CUBICS = st.one_of(GENERATED, GENERATED, arbitrary_cubics())
@@ -399,7 +399,7 @@ def test_substitute(cubic, px, py, w):
         BivariatePoly({(1, 0): F(py[0], w), (0, 1): F(py[1], w), (0, 0): F(py[2], w)}),
     )
     got = substitute(cubic.coeffs, px, py, w)
-    assert BivariatePoly(dict(zip(MONOMIALS, got))) == expected.scale(w**3)
+    assert BivariatePoly.from_slots(got) == expected.scale(w**3)
 
 
 @ORACLES
@@ -445,7 +445,7 @@ def line_times_conic(draw):
     conic = BivariatePoly({(i, j): draw(SMALL) for i in range(3) for j in range(3 - i)})
     product = line * conic
     assume(product.total_degree() == 3)
-    return BivariateCubic.from_poly(product)
+    return BivariateCubic.from_ints(product.slots())
 
 
 @ORACLES
