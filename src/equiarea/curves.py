@@ -37,6 +37,7 @@ from .incidence import incidence_pairs, key_line, rich_table
 from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
     MONOMIALS,
+    Y_COLUMNS,
     UnivariatePoly,
     cleared,
     count_real_roots,
@@ -418,10 +419,6 @@ def asymptotes(cubic: BivariateCubic) -> list[Line]:
     return sorted(lines)
 
 
-# Slots of U^i V^j for i = 0..3-j, one tuple per j.
-_V_COLUMNS = tuple(tuple(MONOMIALS.index((i, j)) for i in range(4 - j)) for j in range(4))
-
-
 def has_linear_factor(cubic: BivariateCubic) -> Line | None:
     """A rational linear factor of the cubic, or None.
 
@@ -435,8 +432,9 @@ def has_linear_factor(cubic: BivariateCubic) -> Line | None:
         a, b = direction.A, direction.B
         F = _in_factor_frame(cubic.coeffs, (a, b, 0), (0, 1, 0) if a else (1, 0, 0))
         # (U + c) divides F  iff  F(-c, V) == 0 identically: per power of V,
-        # the coefficient is a polynomial in c, and c is a common root.
-        polys = [p for p in ([F[k] * (-1) ** i for i, k in enumerate(col)] for col in _V_COLUMNS) if any(p)]
+        # the coefficient (a y-column of F) is a polynomial in c, and c is a
+        # common root.
+        polys = [p for p in ([F[k] * (-1) ** i for i, k in enumerate(col)] for col in Y_COLUMNS) if any(p)]
         if any(not any(p[1:]) for p in polys):
             continue
         for c in rational_roots(UnivariatePoly(polys[0])):

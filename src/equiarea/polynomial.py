@@ -300,6 +300,8 @@ _BUILD = tuple(
     for k, (i, j) in reversed(list(enumerate(MONOMIALS))) if i + j
 )
 _ONE = (0,) * 9 + (1,)
+# Slots of x^i y^j for i = 0..3-j, one tuple per j: the y-columns.
+Y_COLUMNS = tuple(tuple(_SLOT[(i, j)] for i in range(4 - j)) for j in range(4))
 AffineForm = tuple[int, int, int]  # (a, b, c): a*u + b*v + c
 
 
@@ -371,9 +373,7 @@ def cubic_degree(f: Sequence[int]) -> int:
 def _y_columns(f: Sequence[int]) -> list[list[int]]:
     """f's y-coefficients as polynomials in x, low degree first, up to f's
     y-degree."""
-    cols = [[0] * 4 for _ in range(4)]
-    for c, (i, j) in zip(f, MONOMIALS):
-        cols[j][i] = c
+    cols = [[f[k] for k in col] for col in Y_COLUMNS]
     while cols and not any(cols[-1]):
         cols.pop()
     return cols
