@@ -7,7 +7,9 @@ a rigid structure: its equation is a product of three affine linear forms plus
 a linear correction, its asymptotes are recoverable exactly from the leading
 form, and the two generators can be reconstructed from the curve alone. That
 reconstruction is what keeps any two such curves from sharing more than nine
-points, which this module also certifies by exact resultant computations.
+points, which this module checks by exact resultant computations. Its
+K_{3,10} trial lists incidences as `incidence_pairs` does, through geometry's
+shear rule and incidence's ordered table, and builds only the pairs it samples.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .geometry import (
     VerticalLine,
     find_shear,
     intersect,
+    parse_rational,
     shear,
+    shear_denominator,
 )
-from .incidence import incidence_pairs, key_line, rich_table
+from .incidence import incidence_pairs, incidence_param, ordered_table
 from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
     MONOMIALS,
@@ -193,16 +197,16 @@ class BivariateCubic:
 
     @classmethod
     def from_coefficient_list(cls, entries: Sequence[Sequence]) -> "BivariateCubic":
-        """The curve of a JSON coefficient list; entries for the same monomial
-        add up, and denominators are cleared once."""
+        """The curve of a JSON list [[i, j, "num/den"], ...] (i, j integers, not
+        booleans); entries for one monomial add up, denominators clear once."""
         if not isinstance(entries, (list, tuple)):
             raise ValueError(f"coefficients must be a list of [i, j, value] entries, not {entries!r}")
         slots = [Fraction(0)] * len(MONOMIALS)
         for entry in entries:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
-                    and all(isinstance(e, int) for e in entry[:2])):
-                raise ValueError(f"coefficient entry {entry!r} is not [i, j, value] with integers i, j")
-            i, j, val = entry[0], entry[1], Fraction(str(entry[2]))
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3 and isinstance(entry[2], str)
+                    and all(isinstance(e, int) and not isinstance(e, bool) for e in entry[:2])):
+                raise ValueError(f"coefficient entry {entry!r} is not [i, j, \"n/d\"] with integers i, j")
+            i, j, val = entry[0], entry[1], parse_rational(entry[2])
             if i < 0 or j < 0 or i + j > 3:
                 raise ValueError(f"monomial x^{i} y^{j} out of range")
             slots[MONOMIALS.index((i, j))] += val
@@ -547,13 +551,15 @@ class CurveIntersection:
 
 
 def curve_intersection_bound(f: BivariateCubic, g: BivariateCubic) -> CurveIntersection:
-    """Certified bound on the real intersections of two distinct cubics.
+    """The distinct real roots of two distinct cubics' resultant in y, and
+    their exact rational intersection points.
 
     Eliminates y by a Sylvester resultant (after a shared x -> x + t*y shear
     making both y-leading coefficients constant), counts the distinct real
     roots of the squarefree resultant by exact sign variations, and lists the
     exact rational intersection points by back-substitution. An identically
-    zero resultant means a shared component.
+    zero resultant means a shared component. `upper_bound` counts sheared x
+    values, not points, so intersections sharing one count once.
     """
     if f == g:
         raise InfiniteSharedComponent("identical curves")
@@ -743,33 +749,16 @@ def _bezout_trial(seed: int, index: int) -> tuple[int, bool]:
     return inter.upper_bound, inter.upper_bound > 9
 
 
-def _sheared_incidences(
-    points: Iterable[tuple[int, int]],
-) -> tuple[list[tuple[Line, tuple[int, int]]], int]:
-    """`incidence_pairs(shear(points, find_shear(points)), 2)` on distinct
-    integer points, in the same order, before any pair is parametrized: each
-    incidence's canonical line and its sheared point times j, and j.
-
-    find_shear's t = e/j is 0 when the x values are distinct, else the first
-    1/j leaving no vertical spanned line, which holds exactly when the values
-    j*x + y are distinct. The sheared point (x + t*y, y) is then
-    (j*x + e*y, j*y) / j.
-    """
+def _sheared_incidences(points: Iterable[tuple[int, int]]) -> tuple[list[tuple[tuple, tuple]], int]:
+    """(line key, point) per incidence of distinct integer points, in
+    `incidence_pairs` order after `find_shear`'s shear, and the denominator d:
+    the shear (x + y/j, y) is (j*x + y, j*y) / j, or d = 1 when j = 0."""
     pts = list(points)
-    e, j = 0, 1
-    if len({x for x, _ in pts}) < len(pts):
-        e = 1
-        while len({j * x + y for x, y in pts}) < len(pts):
-            j += 1
-    sheared = sorted((j * x + e * y, j * y) for x, y in pts)
-    lines = sorted((key_line(key, j), members) for key, members in rich_table(sheared, 2).items())
-    return [(line, sheared[i]) for line, members in lines for i in members], j
-
-
-def _incidence_param(incidence: tuple[Line, tuple[int, int]], j: int) -> IncidencePairParam:
-    """The validated pair of one incidence from `_sheared_incidences`."""
-    line, (x, y) = incidence
-    return to_param(line, Point(Fraction(x, j), Fraction(y, j)))
+    j = shear_denominator(pts)
+    d, e = (j, 1) if j else (1, 0)
+    sheared = sorted((d * x + e * y, d * y) for x, y in pts)
+    table = ordered_table(sheared, 2, d)
+    return [(key, sheared[i]) for _, key, members in table for i in members], d
 
 
 def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
@@ -779,13 +768,13 @@ def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
         pts: set[tuple[int, int]] = set()
         while len(pts) < n:
             pts.add((rng.randint(-6, 6), rng.randint(-6, 6)))
-        incidences, j = _sheared_incidences(pts)
+        incidences, d = _sheared_incidences(pts)
         if len(incidences) < 3:
             continue
         for _ in range(40):
             trio = rng.sample(range(len(incidences)), 3)
             try:
-                result = triple_common_points(*(_incidence_param(incidences[i], j) for i in trio))
+                result = triple_common_points(*(incidence_param(*incidences[i], d) for i in trio))
             except DegenerateTriple:
                 continue
             except InfiniteSharedComponent:

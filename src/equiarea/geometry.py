@@ -196,32 +196,25 @@ def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, int]], list
     return pts, [p for _, _, p in keyed], scale
 
 
-def _has_vertical_spanned_line(points: Sequence[Point]) -> bool:
-    # Two distinct points span a vertical line iff they share an x coordinate.
-    seen: set[Fraction] = set()
-    for p in points:
-        if p.x in seen:
-            return True
-        seen.add(p.x)
-    return False
+def shear_denominator(pts: Sequence[tuple[int, int]]) -> int:
+    """0 when distinct integer points have distinct x, else the least j >= 1
+    with j*x + y distinct: (x, y) -> (x + y/j, y) then leaves no spanned line
+    vertical. Finitely many j fail (one per spanned direction)."""
+    n = len(pts)
+    if len({x for x, _ in pts}) == n:
+        return 0
+    check_distinct(pts)  # repeats would make every j fail
+    j = 1
+    while len({j * x + y for x, y in pts}) < n:
+        j += 1
+    return j
 
 
 def find_shear(points: Sequence[Point]) -> Fraction:
-    """Smallest t in 0, 1, 1/2, 1/3, ... leaving no spanned line vertical.
-
-    Only finitely many t values are bad (one per spanned direction), so the
-    scan terminates. Requires distinct points; duplicates would make every t
-    fail.
-    """
+    """Smallest t in 0, 1, 1/2, 1/3, ... leaving no spanned line vertical,
+    by `shear_denominator` on the cleared points, which must be distinct."""
     pts = list(points)
     if len(pts) < 2:
         raise GeometryError("need at least two points")
-    check_distinct(pts)
-    if not _has_vertical_spanned_line(pts):
-        return Fraction(0)
-    j = 1
-    while True:
-        t = Fraction(1, j)
-        if not _has_vertical_spanned_line(shear(pts, t)):
-            return t
-        j += 1
+    j = shear_denominator(integer_points(pts)[0])
+    return Fraction(1, j) if j else Fraction(0)

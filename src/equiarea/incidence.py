@@ -1,7 +1,9 @@
 """Spanned lines, k-rich lines, their incidence pairs, and summary statistics.
 
-All of it runs on the integer line kernel `pair_lines`; canonical `Line`s are
-built only for the lines that are returned.
+All of it runs on the integer line kernel `pair_lines`. `ordered_table` sorts
+the rich lines once by canonical `Line`, the order every line and incidence
+list here follows, and `incidence_param` builds an incidence pair straight
+from a line key and an integer point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .geometry import GeometryError, InvariantViolation, Line, Point, integer_points
-from .matching import IncidencePairParam, to_param
+from .matching import IncidencePairParam
 
 
 class VerticalLinePresent(GeometryError):
@@ -76,36 +78,42 @@ def rich_table(pts: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, int, i
     return {key: members for key, members in table.items() if len(members) >= k}
 
 
-def _lines_with_members(points: Sequence[Point], k: int) -> list[SpannedLine]:
-    pts, originals, scale = integer_points(points)
-    lines = [
-        SpannedLine(key_line(key, scale), tuple(originals[i] for i in members))
-        for key, members in rich_table(pts, k).items()
-    ]
-    return sorted(lines, key=lambda sl: sl.line)
+def ordered_table(pts: Sequence[tuple[int, int]], k: int, scale: int) -> list[tuple[Line, tuple, list[int]]]:
+    """`rich_table` as (`key_line`, key, members), sorted by the canonical
+    Line: the order of every line and incidence list here."""
+    return sorted((key_line(key, scale), key, members) for key, members in rich_table(pts, k).items())
+
+
+def incidence_param(key: tuple[int, int, int], point: tuple[int, int], scale: int) -> IncidencePairParam:
+    """The pair (x/scale, y/scale, q/p) of a key and a point from one
+    `rich_table`, which agree by construction, so nothing is re-checked; a
+    vertical line (p = 0) raises VerticalLinePresent."""
+    p, q, _ = key
+    if p == 0:
+        raise VerticalLinePresent(f"{key_line(key, scale)} is rich and vertical")
+    x, y = point
+    return IncidencePairParam(Fraction(x, scale), Fraction(y, scale), Fraction(q, p))
 
 
 def spanned_lines(points: Sequence[Point]) -> list[SpannedLine]:
     """Every line through >= 2 points, sorted by canonical form."""
-    return _lines_with_members(points, 2)
+    return rich_lines(points, 2)
 
 
 def rich_lines(points: Sequence[Point], k: int) -> list[SpannedLine]:
     """Spanned lines holding at least k points."""
-    return _lines_with_members(points, k)
+    pts, originals, scale = integer_points(points)
+    return [SpannedLine(line, tuple(originals[i] for i in on)) for line, _, on in ordered_table(pts, k, scale)]
 
 
 def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]:
-    """One parametrized pair per (rich line, member point).
+    """One parametrized pair per (rich line, member point), in `ordered_table` order.
 
     Every rich line must be sloped; run the point set through a shear first if
     any spanned line is vertical.
     """
-    rich = rich_lines(points, k)
-    for sl in rich:
-        if sl.line.is_vertical:
-            raise VerticalLinePresent(f"{sl.line} is rich and vertical")
-    return [to_param(sl.line, p) for sl in rich for p in sl.members]
+    pts, _, scale = integer_points(points)
+    return [incidence_param(key, pts[i], scale) for _, key, on in ordered_table(pts, k, scale) for i in on]
 
 
 @dataclass(frozen=True)

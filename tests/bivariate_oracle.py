@@ -1,5 +1,6 @@
-"""The Fraction polynomials the package used before its integer kits, and
-the Fraction `make_bundle` of a generator pair, kept as the tests' oracles.
+"""The Fraction polynomials the package used before its integer kits, the
+Fraction `make_bundle` of a generator pair, and the Fraction shear rule and
+incidence listing, kept as the tests' oracles.
 
 `UnivariatePoly` subclasses the package's container, so its instances go
 wherever the package takes one (`rational_roots`, `count_real_roots`), and
@@ -16,11 +17,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from equiarea import polynomial
 from equiarea.curves import LinearForm, LinearFormBundle
-from equiarea.matching import IncidencePairParam
+from equiarea.geometry import Line, Point, line_through
+from equiarea.incidence import VerticalLinePresent
+from equiarea.matching import IncidencePairParam, to_param
 
 
 class UnivariatePoly(polynomial.UnivariatePoly):
@@ -272,3 +276,27 @@ def make_bundle(p1: IncidencePairParam, p2: IncidencePairParam) -> LinearFormBun
     l6 = LinearForm(d, e, f)
     s = (b2 - b1) - k2 * (a2 - a1)
     return LinearFormBundle(l1, l2, l3, l4, l5, l6, c, d, e, f, s)
+
+
+def fraction_find_shear(points: Sequence[Point]) -> Fraction:
+    """The first t in 0, 1, 1/2, 1/3, ... after which no two of the distinct
+    `points` share an x coordinate, found by shearing in Fractions."""
+    t, j = Fraction(0), 1
+    while len({p.x + t * p.y for p in points}) < len(points):
+        t, j = Fraction(1, j), j + 1
+    return t
+
+
+def fraction_incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]:
+    """One pair per (line, member) over the lines through at least k points:
+    every point pair grouped by `line_through`, the lines sorted, members
+    ascending, and `to_param` on each. The first vertical one of those lines
+    raises VerticalLinePresent."""
+    members: dict[Line, set[Point]] = {}
+    for p, q in combinations(points, 2):
+        members.setdefault(line_through(p, q), set()).update((p, q))
+    rich = sorted((line, sorted(on)) for line, on in members.items() if len(on) >= k)
+    for line, _ in rich:
+        if line.is_vertical:
+            raise VerticalLinePresent(f"{line} is rich and vertical")
+    return [to_param(line, p) for line, on in rich for p in on]

@@ -161,9 +161,10 @@ class TestScans:
         assert trials == "5" and int(max_pts) <= 9 and violations == "0"
 
     def test_threads_do_not_change_results(self, capsys):
-        _, serial, _ = run(capsys, "bezout", "--trials", "6", "--seed", "1")
-        _, parallel, _ = run(capsys, "bezout", "--trials", "6", "--seed", "1", "--threads", "2")
-        assert serial == parallel
+        for scan in ("bezout", "k310-scan"):
+            _, serial, _ = run(capsys, scan, "--trials", "6", "--seed", "1")
+            _, parallel, _ = run(capsys, scan, "--trials", "6", "--seed", "1", "--threads", "2")
+            assert serial == parallel
 
 
 class TestScaling:
@@ -194,6 +195,9 @@ MALFORMED_CURVE_MESSAGES = {
     '[[1, 1, "0"]]': "zero polynomial is not a curve",
     '[[1, 1, "1/2"], [1, 1, "-1/2"]]': "zero polynomial is not a curve",
     '[[4, 0, "1"]]': "monomial x^4 y^0 out of range",
+    '[[3, 0, 0.1], [0, 0, "1"]]': 'coefficient entry [3, 0, 0.1] is not [i, j, "n/d"] with integers i, j',
+    '[[true, 0, "1"], [3, 0, "1"]]': "coefficient entry [True, 0, '1'] is not [i, j, \"n/d\"] with integers i, j",
+    '[[3, 0, "1.5"], [0, 0, "1"]]': "not a rational 'n' or 'n/d': '1.5'",
 }
 
 

@@ -404,6 +404,15 @@ class TestIntersectionBound:
                 continue
             assert curve_intersection_bound(f, g).upper_bound <= 9
 
+    @pytest.mark.xfail(strict=True, reason="upper_bound counts distinct x-roots, so points sharing an x count once")
+    def test_bound_counts_points_on_one_vertical(self):
+        # f and g meet at (0, -5), (0, 0) and (0, 1): three points over x = 0.
+        f = BivariateCubic.from_coefficient_list([[0, 3, "1"], [0, 2, "4"], [0, 1, "-5"], [3, 0, "1"], [1, 0, "1"]])
+        g = BivariateCubic.from_coefficient_list([[0, 3, "1"], [0, 2, "4"], [0, 1, "-5"], [3, 0, "2"], [1, 0, "5"]])
+        inter = curve_intersection_bound(f, g)
+        assert inter.rational_points == (Point(0, -5), Point(0, 0), Point(0, 1))
+        assert inter.upper_bound >= len(inter.rational_points)
+
 
 class TestTripleCommonPoints:
     def test_empty_projection_gives_zero(self):

@@ -23,6 +23,7 @@ from equiarea.geometry import (
     line_through,
     parse_rational,
     shear,
+    shear_denominator,
     signed_area2,
 )
 
@@ -184,6 +185,13 @@ class TestFindShear:
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoints):
             find_shear([pt(0, 0), pt(0, 0)])
+        with pytest.raises(DuplicatePoints):
+            shear_denominator([(0, 0), (0, 1), (0, 0)])
+
+    def test_fewer_than_two_points_rejected(self):
+        for pts in ([], [pt(1, 2)]):
+            with pytest.raises(GeometryError, match="need at least two points"):
+                find_shear(pts)
 
 
 class TestLineIntegerInputs:

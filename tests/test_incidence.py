@@ -80,8 +80,10 @@ class TestRichLines:
 
 class TestIncidencePairs:
     def test_vertical_rich_line_rejected(self):
-        with pytest.raises(VerticalLinePresent):
+        with pytest.raises(VerticalLinePresent) as exc:
             incidence_pairs(FIVE, 2)  # x=0 and x=1 are spanned and vertical
+        # The first of them in canonical line order is named.
+        assert str(exc.value) == "(1)x + (0)y + (-1) = 0 is rich and vertical"
 
     def test_sizes_after_shear(self):
         sheared = shear(FIVE, find_shear(FIVE))

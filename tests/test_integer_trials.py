@@ -1,14 +1,17 @@
-"""The integer K_{3,10} trial and the integer match curve against their
-Fraction oracles, and the scans' per-trial bounds pinned.
+"""The shear rule, the incidence list and the integer match curve against
+their Fraction oracles, and the scans' per-trial bounds pinned.
 
-`curves._sheared_incidences` finds the trial's shear on integer points and
-lists the incidences from `incidence.rich_table`; its list, parametrized,
-must be `incidence_pairs(shear(points, find_shear(points)), 2)` in content and
-order, since the trial draws its generators by index. `match_curve` builds
-the curve from the generators' cleared values, and `CurveCase.bundle` divides
-the same integer forms back; the Fraction `make_bundle` of `bivariate_oracle`
-gives the oracle bundle, its product the oracle curve, and `Line.contains` the
-oracle tag. Examples are derandomized, so every run draws the same inputs.
+`find_shear`, `incidence_pairs` and the K_{3,10} trial's
+`curves._sheared_incidences` share one integer shear rule and one ordered
+rich-line table. `bivariate_oracle` keeps the Fraction rule (shear by 1,
+1/2, ... until no x repeats) and a Fraction incidence listing (every pair
+through `line_through`, lines sorted, `to_param` on each member); all three
+must give its shear and its list in content and order, since the trial
+draws its generators by index. `match_curve` builds the curve from the
+generators' cleared values, and `CurveCase.bundle` divides the same integer
+forms back; the Fraction `make_bundle` of `bivariate_oracle` gives the
+oracle bundle, its product the oracle curve, and `Line.contains` the oracle
+tag. Examples are derandomized, so every run draws the same inputs.
 """
 
 from fractions import Fraction as F
@@ -19,12 +22,13 @@ from hypothesis import strategies as st
 
 from equiarea import curves
 from equiarea.curves import CurveTag, ScanReport, bezout_scan, k310_scan, match_curve
-from equiarea.geometry import Point, find_shear, shear
-from equiarea.incidence import incidence_pairs
+from equiarea.geometry import Point, find_shear
+from equiarea.incidence import VerticalLinePresent, incidence_pairs, incidence_param
 from equiarea.matching import IncidencePairParam
 
-from bivariate_oracle import make_bundle
+from bivariate_oracle import fraction_find_shear, fraction_incidence_pairs, make_bundle
 from test_cubic_kit import PARAM, any_pairs, general_pairs, oracle_match_coeffs, point_on_line_pairs
+from test_kernel_oracles import BIG, HUGE, RATIONAL, VERTICAL
 
 ORACLES = settings(
     derandomize=True,
@@ -36,17 +40,30 @@ ORACLES = settings(
 
 
 # ---------------------------------------------------------------------------
-# The incidence list of the K_{3,10} trial
+# The shear rule and the incidence list
+
+
+def as_points(pts: list[tuple[int, int]]) -> list[Point]:
+    return [Point(x, y) for x, y in pts]
 
 
 def oracle_incidences(pts: list[tuple[int, int]]) -> list[IncidencePairParam]:
-    points = [Point(x, y) for x, y in pts]
-    return incidence_pairs(shear(points, find_shear(points)), 2)
+    points = as_points(pts)
+    t = fraction_find_shear(points)
+    return fraction_incidence_pairs([Point(p.x + t * p.y, p.y) for p in points], 2)
 
 
 def integer_incidences(pts: list[tuple[int, int]]) -> list[IncidencePairParam]:
-    incidences, j = curves._sheared_incidences(pts)
-    return [curves._incidence_param(incidence, j) for incidence in incidences]
+    incidences, d = curves._sheared_incidences(pts)
+    return [incidence_param(key, point, d) for key, point in incidences]
+
+
+def outcome(list_incidences, points, k):
+    """The incidence list, or the message of the VerticalLinePresent it raises."""
+    try:
+        return list_incidences(points, k)
+    except VerticalLinePresent as exc:
+        return str(exc)
 
 
 COORD = st.integers(-6, 6)
@@ -57,8 +74,12 @@ GRID_SETS = st.sets(st.tuples(COORD, COORD), min_size=2, max_size=14).map(sorted
 def shared_x_sets(draw):
     """Few columns, so that shearing by 1, 1/2, ... keeps failing for a while."""
     pts = sorted(draw(st.sets(st.tuples(st.integers(-1, 1), COORD), min_size=3, max_size=14)))
-    assume(find_shear([Point(x, y) for x, y in pts]) not in (0, 1))
+    assume(fraction_find_shear(as_points(pts)) not in (0, 1))
     return pts
+
+
+# The same columns moved above 2^64; a translation keeps the shear rule's answer.
+HUGE_COLUMNS = shared_x_sets().map(lambda pts: [(x + BIG**2, y - 3 * BIG) for x, y in pts])
 
 
 @st.composite
@@ -72,11 +93,36 @@ def collinear_sets(draw):
     return sorted(pts)
 
 
+POINT_FAMILIES = {
+    "shared_x": shared_x_sets().map(as_points),
+    "huge_columns": HUGE_COLUMNS.map(as_points),
+    "vertical": VERTICAL,
+    "rational": RATIONAL,
+    "huge": HUGE,
+}
+
+
+@pytest.mark.parametrize("family", sorted(POINT_FAMILIES))
+def test_shear_and_incidences_match_the_fraction_rule(family):
+    """Unsheared, a vertical rich line raises the oracle's message; sheared, the lists agree."""
+
+    @ORACLES
+    @given(POINT_FAMILIES[family], st.integers(2, 4))
+    def check(points, k):
+        t = find_shear(points)
+        assert t == fraction_find_shear(points)
+        assert outcome(incidence_pairs, points, k) == outcome(fraction_incidence_pairs, points, k)
+        sheared = [Point(p.x + t * p.y, p.y) for p in points]
+        assert incidence_pairs(sheared, k) == fraction_incidence_pairs(sheared, k)
+
+    check()
+
+
 @ORACLES
-@given(st.one_of(GRID_SETS, shared_x_sets(), collinear_sets()))
+@given(st.one_of(GRID_SETS, shared_x_sets(), HUGE_COLUMNS, collinear_sets()))
 def test_sheared_incidences_match_the_fraction_path(pts):
     assert integer_incidences(pts) == oracle_incidences(pts)
-    t = find_shear([Point(x, y) for x, y in pts])
+    t = fraction_find_shear(as_points(pts))
     assert t in (0, F(1, curves._sheared_incidences(pts)[1]))
 
 
@@ -86,7 +132,7 @@ def test_shear_search_on_integers():
     column = [(0, y) for y in range(4)] + [(1, -1)]
     incidences, j = curves._sheared_incidences(column)
     assert j == 5
-    assert find_shear([Point(x, y) for x, y in column]) == F(1, 5)
+    assert find_shear(as_points(column)) == fraction_find_shear(as_points(column)) == F(1, 5)
     assert integer_incidences(column) == oracle_incidences(column)
     # The column's line holds four points, and each line to (1, -1) two.
     assert len(incidences) == 4 + 4 * 2
