@@ -204,7 +204,7 @@ def fixed_area_triangles(
     return [tri for tri in combinations(points, 3) if abs(signed_area2(*tri)) == target]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RichnessTally:
     """Fixed-area triangles split by how many of their top lines are k-rich."""
 
@@ -258,7 +258,7 @@ def tally_by_richness(
     return RichnessTally(*(buckets[rich] for rich in range(4)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchingIdentityReport:
     M: int
     T2: int
@@ -272,14 +272,23 @@ def matching_count(
 ) -> tuple[int, int]:
     """(N, M): incidences on k-rich lines, and ordered counterclockwise matching
     pairs among them (with require_q_in_s, only those whose third vertex is in
-    the set). About N*m integer probes over `incidence.rich_table`, with no shear.
+    the set). About min(N*m, 2*P*N) integer steps over `incidence.rich_table`,
+    for P the points on those m lines, with no shear.
     """
+    lines, pts, scale = rich_incidences(points, k)
+    m = count_matching_on_lines(lines, Fraction(area) * scale * scale, set(pts) if require_q_in_s else None)
+    return sum(map(len, lines.values())), m
+
+
+def rich_incidences(
+    points: Sequence[Point], k: int
+) -> tuple[dict[tuple[int, int, int], list[tuple[int, int]]], list[tuple[int, int]], int]:
+    """(lines, pts, scale): the k-rich lines as the integer line table of
+    `count_matching_on_lines`, over `pts`, the points scaled by `scale`."""
     pts, _, scale = integer_points(points)
     table = _incidence.rich_table(pts, k)
     # The key (p, q, c) names the line p*y - q*x = c.
-    lines = {(-q, p, -c): [pts[i] for i in members] for (p, q, c), members in table.items()}
-    m = count_matching_on_lines(lines, Fraction(area) * scale * scale, set(pts) if require_q_in_s else None)
-    return sum(map(len, lines.values())), m
+    return {(-q, p, -c): [pts[i] for i in members] for (p, q, c), members in table.items()}, pts, scale
 
 
 def matching_identity_check(
@@ -362,8 +371,8 @@ def gen_parallel_lines(lines: int, per_line: int, spacing: int) -> list[Point]:
 CSV_HEADER = "generator,n,k,area,count,m,N,M,T0,T1,T2,T3,seconds,seed"
 
 #: Above this size the matching count and richness tally are skipped. Both are
-#: cheap now (about N*m probes, and O(n^2 + T)); the cutoff stays at 30 because
-#: raising it changes the scaling CSV.
+#: cheap now (about min(N*m, 2*P*N) steps, and O(n^2 + T)); the cutoff stays at
+#: 30 because raising it changes the scaling CSV.
 MATCHING_SIZE_LIMIT = 30
 
 
@@ -408,7 +417,8 @@ def default_area(kind: str) -> Fraction:
     """The documented default target area per generator.
 
     Integer-lattice sections get 1/2, the smallest area an integer triangle
-    can have, so the repeated-area trend is measured where it is densest.
+    can have. It is a fixed choice, not the most repeated area: on
+    `gen_lattice_section(100)` area 1 has more triangles (7 417 against 5 442).
     """
     return Fraction(1, 2) if kind == "lattice" else Fraction(1)
 

@@ -157,23 +157,41 @@ def count_matching_pairs(
     require_q_in_s: bool = False,
     points: Iterable[Point] | None = None,
 ) -> int:
-    """Number of ordered counterclockwise matching pairs, by `count_matching_on_lines`.
+    """Number of ordered counterclockwise matching pairs, by `count_matching_on_lines`,
+    in about min(N*m, 2*P*N) steps for N pairs on m lines through P points.
 
     With require_q_in_s, only pairs whose completed third vertex lies in the
     given point set are counted.
     """
     if require_q_in_s and points is None:
         raise ValueError("require_q_in_s needs the point set")
-    points = list(points) if require_q_in_s else []
-    coords = [c for p in pairs for c in (p.a, p.b)] + [c for p in points for c in (p.x, p.y)]
+    lines, in_s, scale = pair_incidences(pairs, points if require_q_in_s else None)
+    return count_matching_on_lines(lines, Fraction(area) * scale * scale, in_s)
+
+
+def pair_incidences(
+    pairs: Sequence[IncidencePairParam], points: Iterable[Point] | None = None
+) -> tuple[dict[tuple[int, int, int], list[tuple[int, int]]], set[tuple[int, int]] | None, int]:
+    """(lines, in_s, scale): the pairs as the integer line table of
+    `count_matching_on_lines`, and `points` as a set, both scaled by `scale`,
+    the least common denominator. A key is the pair's canonical `Line` with
+    C scaled, so gcd(A, B) may exceed 1."""
+    listed = [] if points is None else list(points)
+    coords = [c for p in pairs for c in (p.a, p.b)] + [c for p in listed for c in (p.x, p.y)]
     scale = math.lcm(*(c.denominator for c in coords))
     lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for p in pairs:
-        point = (int(p.a * scale), int(p.b * scale))
         line = p.line
-        lines.setdefault((line.A, line.B, line.C * scale), []).append(point)
-    in_s = {(int(p.x * scale), int(p.y * scale)) for p in points} if require_q_in_s else None
-    return count_matching_on_lines(lines, Fraction(area) * scale * scale, in_s)
+        lines.setdefault((line.A, line.B, line.C * scale), []).append((int(p.a * scale), int(p.b * scale)))
+    in_s = None if points is None else {(int(p.x * scale), int(p.y * scale)) for p in listed}
+    return lines, in_s, scale
+
+
+def _checked_twice(area: Fraction | int) -> Fraction:
+    twice = 2 * Fraction(area)
+    if not twice:
+        raise ZeroArea("matching needs a nonzero area")
+    return twice
 
 
 def count_matching_on_lines(
@@ -181,18 +199,34 @@ def count_matching_on_lines(
     area: Fraction | int,
     points: set[tuple[int, int]] | None = None,
 ) -> int:
-    """Ordered counterclockwise matching pairs among integer incidences, in about N*m probes.
+    """Ordered counterclockwise matching pairs among integer incidences, in
+    about min(N*m, 2*P*N) steps.
 
     `lines` maps (A, B, C), integers for A*x + B*y + C = 0, to the integer
-    points on that line. As L1(p1) = L2(p2) = 0, the predicate reads
-    -L1(p2) * L2(p1) == 2*area*det, so for a fixed (l1, p1) and each l2 not
-    parallel to l1 the one candidate p2 has L1(p2) = -2*area*det / L2(p1), or
-    there is none when L2(p1) = 0. With `points`, a match also needs its third
-    vertex q = p1 + p2 - o in `points`, for o the lines' intersection.
+    points on that line, N in all, through P distinct points. With `points`,
+    a match also needs its third vertex q = p1 + p2 - o in `points`, for o the
+    lines' intersection. The probe takes about N*m steps and the join about
+    P*N, each up to about two probe steps, so this keeps the probe when
+    m < 2*P and runs the join otherwise. Both count exactly the same pairs.
     """
-    twice = 2 * Fraction(area)
-    if not twice:
-        raise ZeroArea("matching needs a nonzero area")
+    on_lines = {p for members in lines.values() for p in members}
+    if len(lines) < 2 * len(on_lines):
+        return probe_matching_on_lines(lines, area, points)
+    return join_matching_on_lines(lines, area, points)
+
+
+def probe_matching_on_lines(
+    lines: dict[tuple[int, int, int], list[tuple[int, int]]],
+    area: Fraction | int,
+    points: set[tuple[int, int]] | None = None,
+) -> int:
+    """`count_matching_on_lines` by one probe per (line, member, other line).
+
+    As L1(p1) = L2(p2) = 0, the predicate reads -L1(p2) * L2(p1) == 2*area*det,
+    so for a fixed (l1, p1) and each l2 not parallel to l1 the one candidate
+    p2 has L1(p2) = -2*area*det / L2(p1), or there is none when L2(p1) = 0.
+    """
+    twice = _checked_twice(area)
     num, den = twice.numerator, twice.denominator
     on_line = [(line, Counter(members)) for line, members in lines.items()]
     total = 0
@@ -222,4 +256,61 @@ def count_matching_on_lines(
                 hits = on2.get((x, y))
                 if hits and (points is None or (x1 + x - ox, y1 + y - oy) in points):
                     total += hits
+    return total
+
+
+def join_matching_on_lines(
+    lines: dict[tuple[int, int, int], list[tuple[int, int]]],
+    area: Fraction | int,
+    points: set[tuple[int, int]] | None = None,
+) -> int:
+    """`count_matching_on_lines` by a join over ordered pairs of distinct points.
+
+    For o = l1 ∩ l2 the predicate reads cross(p1 - o, p2 - o) == 2*area. Fix
+    p1, p2 and u = p2 - p1: a line through p1 with direction v and
+    c = cross(u, v) != 0 meets that locus once, at o = p1 + (2*area / c) * v,
+    and its one partner is the line through p2 and o, with direction
+    2*area*v - c*u. Each point keeps its lines by primitive direction, under
+    both signs, so the partner is one lookup. With `points`, o must be an
+    integer point, which for a primitive v means that c divides 2*area (so a
+    fractional 2*area matches nothing), and q = p2 - (o - p1) must be in
+    `points`.
+    """
+    twice = _checked_twice(area)
+    num, den = twice.numerator, twice.denominator
+    if points is not None and den != 1:
+        return 0
+    fans: dict[tuple[int, int], Counter[tuple[int, int]]] = {}
+    for (a, b, _), members in lines.items():
+        g = math.gcd(a, b)
+        for p, hits in Counter(members).items():
+            fan = fans.setdefault(p, Counter())
+            fan[b // g, -a // g] += hits
+            fan[-b // g, a // g] += hits
+    gcd = math.gcd
+    total = 0
+    for (x1, y1), fan1 in fans.items():
+        spokes = [(vx, vy, hits) for (vx, vy), hits in fan1.items() if vx > 0 or (not vx and vy > 0)]
+        for (x2, y2), fan2 in fans.items():
+            ux, uy = x2 - x1, y2 - y1
+            if not (ux or uy):
+                continue
+            for vx, vy, hits in spokes:
+                c = ux * vy - uy * vx
+                if not c:
+                    continue
+                if points is None:
+                    # den*c * (o - p2)
+                    wx, wy = num * vx - den * c * ux, num * vy - den * c * uy
+                else:
+                    if num % c:
+                        continue
+                    t = num // c  # o - p1 = t * v
+                    if (x2 - t * vx, y2 - t * vy) not in points:
+                        continue
+                    wx, wy = t * vx - ux, t * vy - uy
+                g = gcd(wx, wy)
+                partners = fan2.get((wx // g, wy // g))
+                if partners:
+                    total += hits * partners
     return total

@@ -6,7 +6,7 @@ shares none of its code: `count_brute` for `count_pairline`, a
 O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
 `tally_by_richness`, both of the first two for the scaling experiment's
 one-pass census, and the O(N^2) Fraction scan over sheared incidence pairs
-for the integer matching probe. The input families are rational
+for the integer matching probe and join. The input families are rational
 coordinates with mixed denominators, coordinates above 2^64, sets with
 vertical lines, and collinear-heavy sets. Examples are derandomized, so every
 run draws the same inputs.
@@ -27,7 +27,9 @@ from equiarea.counting import (
     count_brute,
     count_pairline,
     fixed_area_triangles,
+    gen_lattice_section,
     matching_count,
+    rich_incidences,
     tally_by_richness,
 )
 from equiarea.geometry import (
@@ -49,7 +51,14 @@ from equiarea.incidence import (
     spanned_lines,
     stats_from_sizes,
 )
-from equiarea.matching import count_matching_pairs, third_vertex, top_lines
+from equiarea.matching import (
+    count_matching_pairs,
+    join_matching_on_lines,
+    pair_incidences,
+    probe_matching_on_lines,
+    third_vertex,
+    top_lines,
+)
 
 ORACLES = settings(
     derandomize=True,
@@ -210,20 +219,37 @@ class TestAgainstOracles:
 
 @pytest.mark.parametrize("family", sorted(MATCHING_FAMILIES))
 def test_matching_probe_equals_sheared_scan(family):
-    """The probe on the unsheared set against the Fraction scan on a sheared copy."""
+    """The probe and the join, whichever the dispatch picks, on the unsheared
+    set and on the sheared pairs, against the Fraction scan on the sheared copy."""
 
     @ORACLES
     @given(MATCHING_FAMILIES[family], SIGNED_AREAS, st.integers(2, 3), st.booleans())
     def check(points, drawn, k, require_q_in_s):
         sheared = shear(points, find_shear(points))
         pairs = incidence_pairs(sheared, k)
+        lines, pts, scale = rich_incidences(points, k)
+        tables = (
+            (lines, set(pts) if require_q_in_s else None, scale),
+            pair_incidences(pairs, sheared if require_q_in_s else None),
+        )
         sign = 1 if drawn > 0 else -1
         for area in {sign * a for a in _areas_to_check(points, abs(drawn))}:
             expected = oracle_matching_pairs(pairs, area, require_q_in_s, sheared)
             assert matching_count(points, k, area, require_q_in_s) == (len(pairs), expected)
             assert count_matching_pairs(pairs, area, require_q_in_s, sheared) == expected
+            for table, in_s, cleared in tables:
+                for count in (probe_matching_on_lines, join_matching_on_lines):
+                    assert count(table, area * cleared * cleared, in_s) == expected
 
     check()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_join_equals_probe_on_a_lattice_section(k):
+    lines, pts, _ = rich_incidences(gen_lattice_section(60), k)
+    for area in (F(1, 2), F(1)):
+        for in_s in (set(pts), None):
+            assert join_matching_on_lines(lines, area, in_s) == probe_matching_on_lines(lines, area, in_s)
 
 
 def test_key_line_is_the_canonical_line():

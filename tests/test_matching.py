@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -25,9 +26,13 @@ from equiarea.matching import (
     ParallelSlopes,
     PointNotOnLine,
     classify_triangle,
+    count_matching_on_lines,
     count_matching_pairs,
+    join_matching_on_lines,
     matches_ccw,
     matches_cw,
+    pair_incidences,
+    probe_matching_on_lines,
     third_vertex,
     to_param,
     top_lines,
@@ -225,10 +230,16 @@ class TestCountMatchingPairs:
     def test_zero_area_rejected(self):
         pts = [Point(x, y) for y in range(3) for x in range(3)]
         sheared = shear(pts, find_shear(pts))
+        pairs = incidence_pairs(sheared, 2)
         with pytest.raises(ZeroArea):
-            count_matching_pairs(incidence_pairs(sheared, 2), 0)
+            count_matching_pairs(pairs, 0)
         with pytest.raises(ZeroArea):
             matching_count(pts, 2, 0)
+        lines, in_s, _ = pair_incidences(pairs, sheared)
+        for count in (count_matching_on_lines, probe_matching_on_lines, join_matching_on_lines):
+            for points in (None, in_s):
+                with pytest.raises(ZeroArea):
+                    count(lines, 0, points)
 
     def test_vertical_rich_lines_need_no_shear(self):
         # The 3x3 grid's columns are rich and vertical; M is the sheared value.
@@ -243,3 +254,31 @@ class TestCountMatchingPairs:
     def test_repeated_pairs_count_with_multiplicity(self):
         pairs = [P_A, P_B, P_B]
         assert count_matching_pairs(pairs, 1) == 2 * count_matching_pairs([P_A, P_B], 1) == 2
+        for count in (probe_matching_on_lines, join_matching_on_lines):
+            for repeated, expected in ((pairs, 2), ([P_A, P_B], 1), ([P_A, P_A, P_B, P_B], 4)):
+                lines, _, scale = pair_incidences(repeated)
+                assert count(lines, scale * scale) == expected
+
+    def test_lines_whose_direction_is_not_primitive(self):
+        # Cleared by scale 2, the line y = x + 1/2 has key (2, -2, 2): its
+        # direction (B, -A) = (-2, -2) is not primitive, so the join must not
+        # read integrality off it. 13 lines through 3 points send
+        # count_matching_pairs to the join.
+        on_line = [(0, F(1, 2)), (F(1, 2), 1), (1, F(3, 2))]
+        pairs = [IncidencePairParam.from_triple(x, y, k) for (x, y), k in product(on_line, (1, 0, 2, -1, F(1, 2)))]
+        lines, _, scale = pair_incidences(pairs)
+        assert (scale, len(lines)) == (2, 13) and (2, -2, 2) in lines
+        area = F(1, 4)
+        matched = [(p1, p2) for p1 in pairs for p2 in pairs if geometric_ccw(p1, p2, area)]
+        assert len(matched) == 6
+        assert count_matching_pairs(pairs, area) == count_matching_pairs(pairs, -area) == 6
+        # Keep the third vertex of the first two matches only.
+        kept = {third_vertex(p1, p2) for p1, p2 in matched[:2]}
+        points = [p.point for p in pairs] + sorted(kept)
+        expected = sum(third_vertex(p1, p2) in kept for p1, p2 in matched)
+        assert 2 <= expected < 6
+        assert count_matching_pairs(pairs, area, True, points) == expected
+        lines, in_s, scale = pair_incidences(pairs, points)
+        for count in (probe_matching_on_lines, join_matching_on_lines):
+            assert count(lines, area * scale * scale) == 6
+            assert count(lines, area * scale * scale, in_s) == expected
