@@ -56,8 +56,6 @@ from .curves import (
     DegenerateTriple,
     InfiniteSharedComponent,
     LeadingFormFactors,
-    LinearForm,
-    LinearFormBundle,
     NoBranch,
     NonSimpleFactorUnsupported,
     NotAMatchCurve,

@@ -122,21 +122,7 @@ def _curve_document(pair1: IncidencePairParam, pair2: IncidencePairParam) -> dic
     if case.curve is None:
         return doc
     doc["coefficients"] = case.curve.coefficient_list()
-    b = case.bundle
-    doc["bundle"] = {
-        **{
-            name: [str(form.cx), str(form.cy), str(form.c0)]
-            for name, form in zip(
-                ("L1", "L2", "L3", "L4", "L5", "L6"),
-                (b.L1, b.L2, b.L3, b.L4, b.L5, b.L6),
-            )
-        },
-        "C": str(b.C),
-        "D": str(b.D),
-        "E": str(b.E),
-        "F": str(b.F),
-        "s": str(b.s),
-    }
+    doc["bundle"] = {name: [str(c) for c in v] if isinstance(v, tuple) else str(v) for name, v in case.bundle.items()}
     try:
         doc["asymptotes"] = [[l.A, l.B, l.C] for l in asymptotes(case.curve)]
     except NonSimpleFactorUnsupported as exc:

@@ -94,57 +94,9 @@ class NoBranch(CurveError):
     """No real curve branch exists at a probe sample."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """cx*x + cy*y + c0 with the exact scale kept (unlike canonical Line)."""
-
-    cx: Fraction
-    cy: Fraction
-    c0: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cx", Fraction(self.cx))
-        object.__setattr__(self, "cy", Fraction(self.cy))
-        object.__setattr__(self, "c0", Fraction(self.c0))
-
-    def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
-        return self.cx * Fraction(x) + self.cy * Fraction(y) + self.c0
-
-
-@dataclass(frozen=True)
-class LinearFormBundle:
-    """The six linear forms and five constants behind a match curve.
-
-    L1 and L2 vanish on the generating lines, L3 on the line joining the two
-    points. L4 runs through the first point parallel to the second line, L5
-    symmetrically. L6 = L1*L4 - L2*L5 collapses to the linear form
-    D*x + E*y + F, which spans the median from the lines' intersection point
-    to the midpoint of the two generator points. C is the slope difference,
-    and s = L4 - L2 is the constant gap between those two parallel forms.
-    """
-
-    L1: LinearForm
-    L2: LinearForm
-    L3: LinearForm
-    L4: LinearForm
-    L5: LinearForm
-    L6: LinearForm
-    C: Fraction
-    D: Fraction
-    E: Fraction
-    F: Fraction
-    s: Fraction
-
-    def __post_init__(self) -> None:
-        l6 = (self.L6.cx, self.L6.cy, self.L6.c0)
-        forms = [(f.cx, f.cy, f.c0) for f in (self.L1, self.L2, self.L4, self.L5)]
-        if l6 != (self.D, self.E, self.F) or not _l6_holds(*forms, l6):
-            raise CurveError("bundle identity L6 = L1*L4 - L2*L5 failed")
-
-
 def _l6_holds(l1: tuple, l2: tuple, l4: tuple, l5: tuple, l6: tuple) -> bool:
-    """L1*L4 - L2*L5 == L6 for forms given as (cx, cy, c0), in ints or
-    Fractions: the quadratic part must cancel and the linear part must be L6."""
+    """L1*L4 - L2*L5 == L6 for integer forms (cx, cy, c0): the quadratic part
+    must cancel and the linear part must be L6."""
     (a1, b1, c1), (a2, b2, c2), (a4, b4, c4), (a5, b5, c5) = l1, l2, l4, l5
     quadratic = (a1 * a4 - a2 * a5, a1 * b4 + b1 * a4 - a2 * b5 - b2 * a5, b1 * b4 - b2 * b5)
     linear = (a1 * c4 + c1 * a4 - a2 * c5 - c2 * a5, b1 * c4 + c1 * b4 - b2 * c5 - c2 * b5, c1 * c4 - c2 * c5)
@@ -222,16 +174,27 @@ class CurveCase:
     generators: tuple[IncidencePairParam, IncidencePairParam]
 
     @property
-    def bundle(self) -> LinearFormBundle | None:
-        """The curve's linear-form bundle: `match_curve`'s integer forms over
-        their denominators, built on each read."""
+    def bundle(self) -> dict[str, tuple[Fraction, Fraction, Fraction] | Fraction] | None:
+        """The curve's linear-form bundle, built on each read from
+        `match_curve`'s integer forms: L1..L5 over w^2 and L6 over w^4, each
+        as (cx, cy, c0) for cx*x + cy*y + c0, then the constants C, D, E, F
+        and s, for w the generators' common denominator.
+
+        L1 and L2 vanish on the generating lines, L3 on the line joining the
+        two points. L4 runs through the first point parallel to the second
+        line, L5 symmetrically. L6 = L1*L4 - L2*L5 collapses to the linear
+        form D*x + E*y + F, which spans the median from the lines'
+        intersection point to the midpoint of the two generator points. C is
+        the slope difference, and s = L4 - L2 is the constant gap between
+        those two parallel forms.
+        """
         if self.curve is None:
             return None
         values, w, forms = _bundle_forms(*self.generators)
-        l1, l2, l3, l4, l5 = (LinearForm(*(Fraction(c, w * w) for c in form)) for form in forms[:5])
-        l6 = LinearForm(*(Fraction(c, w**4) for c in forms[5]))
-        c = Fraction(values[2] - values[5], w)
-        return LinearFormBundle(l1, l2, l3, l4, l5, l6, c, l6.cx, l6.cy, l6.c0, l4.c0 - l2.c0)
+        bundle = {f"L{i}": tuple(Fraction(c, w * w) for c in form) for i, form in enumerate(forms[:5], 1)}
+        bundle["L6"] = d, e, f = tuple(Fraction(c, w**4) for c in forms[5])
+        s = Fraction(forms[3][2] - forms[1][2], w * w)
+        return {**bundle, "C": Fraction(values[2] - values[5], w), "D": d, "E": e, "F": f, "s": s}
 
 
 def _bundle_forms(

@@ -154,18 +154,15 @@ def classify_triangle(
 def count_matching_pairs(
     pairs: Sequence[IncidencePairParam],
     area: Fraction | int = 1,
-    require_q_in_s: bool = False,
     points: Iterable[Point] | None = None,
 ) -> int:
     """Number of ordered counterclockwise matching pairs, by `count_matching_on_lines`,
     in about min(N*m, 2*P*N) steps for N pairs on m lines through P points.
 
-    With require_q_in_s, only pairs whose completed third vertex lies in the
-    given point set are counted.
+    With `points`, only pairs whose completed third vertex lies in that point
+    set are counted.
     """
-    if require_q_in_s and points is None:
-        raise ValueError("require_q_in_s needs the point set")
-    lines, in_s, scale = pair_incidences(pairs, points if require_q_in_s else None)
+    lines, in_s, scale = pair_incidences(pairs, points)
     return count_matching_on_lines(lines, Fraction(area) * scale * scale, in_s)
 
 

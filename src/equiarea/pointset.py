@@ -6,6 +6,7 @@ Format: one point per line as `x y`, each coordinate an integer or `num/den`;
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,8 +40,14 @@ def parse_points(lines: Iterable[str], source: str = "<input>") -> list[Point]:
 
 def read_points(path: str | Path) -> list[Point]:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        return parse_points(fh, source=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's line, with line ends counted as the parser splits them.
+        lineno = len((data[: exc.start] + b".").splitlines())
+        raise PointFileError(str(path), lineno, f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from exc
+    return parse_points(io.StringIO(text, newline=None), source=str(path))
 
 
 def write_points(path: str | Path, points: Sequence[Point]) -> None:

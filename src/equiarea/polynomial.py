@@ -1,16 +1,16 @@
 """Small exact polynomial kit over the rationals.
 
-Univariate: a Fraction-coefficient container; gcd, squarefree part, Sturm
-real-root counting, rational roots (with the real-root count from the same
-isolation) and root isolation on primitive integer
-coefficient tuples (signed pseudo-remainders, homogeneous Horner signs at
-dyadic points, no integer factoring). Bivariate: one representation, 10
-integer coefficients in MONOMIALS order, and a cubic kit on it (products
-with linear forms, affine substitution scaled by the cube of its
-denominator, sections and values homogeneous in a denominator, the total
-degree), with the Sylvester resultant in y by Bareiss elimination at integer
-samples plus Newton interpolation. Denominators are cleared once, where a
-Fraction-valued polynomial or value comes in.
+Univariate: a Fraction-coefficient container; gcd, Sturm real-root counting
+on the squarefree part, rational roots (with the real-root count from the
+same isolation) and root isolation on primitive integer coefficient tuples
+(signed pseudo-remainders, homogeneous Horner signs at dyadic points, no
+integer factoring). Bivariate: one representation, 10 integer coefficients
+in MONOMIALS order, and a cubic kit on it (products with linear forms,
+affine substitution scaled by the cube of its denominator, sections and
+values homogeneous in a denominator, the total degree), with the Sylvester
+resultant in y by Bareiss elimination at integer samples plus Newton
+interpolation. Denominators are cleared once, where a Fraction-valued
+polynomial or value comes in.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
     return UnivariatePoly(_gcd(_ints(a), _ints(b)))
 
 
-def squarefree_part(p: UnivariatePoly) -> UnivariatePoly:
-    """Primitive squarefree part, with the sign of p's leading coefficient."""
-    return UnivariatePoly(_squarefree(_ints(p)))
-
-
 def count_real_roots(p: UnivariatePoly) -> int:
     """Number of distinct real roots: Sturm on the squarefree part, with the
     chain's signs at -inf and +inf read off its leading terms."""
@@ -248,10 +243,6 @@ def real_and_rational_roots(p: UnivariatePoly) -> tuple[int, list[Fraction]]:
 def rational_roots(p: UnivariatePoly) -> list[Fraction]:
     """All distinct rational roots, exactly (see `real_and_rational_roots`)."""
     return real_and_rational_roots(p)[1]
-
-
-def rational_roots_with_multiplicity(p: UnivariatePoly) -> list[tuple[Fraction, int]]:
-    return rational_factors(_ints(p))[0]
 
 
 def rational_factors(a: Sequence[int]) -> tuple[list[tuple[Fraction, int]], tuple[int, ...]]:

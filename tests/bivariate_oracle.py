@@ -21,7 +21,6 @@ from itertools import combinations
 from typing import Sequence
 
 from equiarea import polynomial
-from equiarea.curves import LinearForm, LinearFormBundle
 from equiarea.geometry import Line, Point, line_through
 from equiarea.incidence import VerticalLinePresent
 from equiarea.matching import IncidencePairParam, to_param
@@ -260,22 +259,25 @@ class BivariatePoly:
         return quo_u.substitute(back_u, back_v), rem_u.substitute(back_u, back_v)
 
 
-def make_bundle(p1: IncidencePairParam, p2: IncidencePairParam) -> LinearFormBundle:
-    """The linear-form bundle of two generators, written out in Fractions."""
+def make_bundle(p1: IncidencePairParam, p2: IncidencePairParam) -> dict:
+    """The linear-form bundle of two generators, written out in Fractions, in
+    the layout of `CurveCase.bundle`."""
     a1, b1, k1 = p1.a, p1.b, p1.kappa
     a2, b2, k2 = p2.a, p2.b, p2.kappa
-    l1 = LinearForm(-k1, Fraction(1), k1 * a1 - b1)  # y - b1 - k1*(x - a1)
-    l2 = LinearForm(-k2, Fraction(1), k2 * a2 - b2)
-    l3 = LinearForm(b2 - b1, -(a2 - a1), a2 * b1 - a1 * b2)
-    l4 = LinearForm(-k2, Fraction(1), k2 * a1 - b1)
-    l5 = LinearForm(-k1, Fraction(1), k1 * a2 - b2)
-    c = k1 - k2
     d = 2 * k1 * k2 * (a2 - a1) - (k1 + k2) * (b2 - b1)
     e = 2 * (b2 - b1) - (k1 + k2) * (a2 - a1)
     f = k1 * k2 * (a1**2 - a2**2) + (k1 + k2) * (a2 * b2 - a1 * b1) + (b1**2 - b2**2)
-    l6 = LinearForm(d, e, f)
+    forms = {
+        "L1": (-k1, 1, k1 * a1 - b1),  # y - b1 - k1*(x - a1)
+        "L2": (-k2, 1, k2 * a2 - b2),
+        "L3": (b2 - b1, -(a2 - a1), a2 * b1 - a1 * b2),
+        "L4": (-k2, 1, k2 * a1 - b1),
+        "L5": (-k1, 1, k1 * a2 - b2),
+        "L6": (d, e, f),
+    }
     s = (b2 - b1) - k2 * (a2 - a1)
-    return LinearFormBundle(l1, l2, l3, l4, l5, l6, c, d, e, f, s)
+    return {**{name: tuple(map(Fraction, form)) for name, form in forms.items()},
+            "C": k1 - k2, "D": d, "E": e, "F": f, "s": s}
 
 
 def fraction_find_shear(points: Sequence[Point]) -> Fraction:

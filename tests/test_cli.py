@@ -97,6 +97,54 @@ class TestStatsAndMatching:
         assert len(lines) == 7  # 6 spanned lines on the square
 
 
+def bundle_doc(l1, l2, l3, l4, l5, l6, c, s):
+    forms = dict(zip(("L1", "L2", "L3", "L4", "L5", "L6"), (l1, l2, l3, l4, l5, l6)))
+    return {**forms, "C": c, "D": l6[0], "E": l6[1], "F": l6[2], "s": s}
+
+
+# The whole `curve` document per argument list, recorded from the CLI before
+# the bundle became a mapping; the expected stdout is the document dumped with
+# indent 2 and a trailing newline, as the CLI prints it.
+CURVE_DOCUMENTS = {
+    ("--pair1", "0,0,0", "--pair2", "1,2,1"): {
+        "case": "general",
+        "coefficients": [[2, 1, "2"], [1, 2, "-3"], [0, 3, "1"], [1, 1, "2"], [0, 2, "-1"], [1, 0, "4"],
+                         [0, 1, "-6"], [0, 0, "8"]],
+        "bundle": bundle_doc(["0", "1", "0"], ["-1", "1", "-1"], ["2", "-1", "0"], ["-1", "1", "0"],
+                             ["0", "1", "-2"], ["-2", "3", "-2"], "-1", "1"),
+        "asymptotes": [[0, 1, 0], [1, -1, 1], [2, -1, 0]],
+    },
+    ("--pair1", "0,0,0", "--pair2", "1,0,1"): {
+        "case": "point_on_line_1",
+        "coefficients": [[1, 2, "1"], [0, 3, "-1"], [0, 2, "-1"], [0, 1, "-2"], [0, 0, "-4"]],
+        "bundle": bundle_doc(["0", "1", "0"], ["-1", "1", "1"], ["0", "-1", "0"], ["-1", "1", "0"],
+                             ["0", "1", "0"], ["0", "-1", "0"], "-1", "-1"),
+        "asymptotes": [[0, 1, 0], [1, -1, -1]],
+    },
+    ("--pair1", "1,0,1", "--pair2", "0,0,0"): {
+        "case": "point_on_line_2",
+        "coefficients": [[1, 2, "1"], [0, 3, "-1"], [0, 2, "-1"], [0, 1, "-2"], [0, 0, "-4"]],
+        "bundle": bundle_doc(["-1", "1", "1"], ["0", "1", "0"], ["0", "1", "0"], ["0", "1", "0"],
+                             ["-1", "1", "0"], ["0", "1", "0"], "1", "0"),
+        "asymptotes": [[0, 1, 0], [1, -1, -1]],
+    },
+    ("--pair1", "0,0,0", "--pair2", "0,0,1"): {
+        "case": "empty", "coefficients": None, "bundle": None, "asymptotes": None,
+    },
+    ("--pair1", "0,0,1", "--pair2", "1,1,1"): {
+        "case": "undefined", "coefficients": None, "bundle": None, "asymptotes": None,
+    },
+    ("--pair1", "0,0,0", "--pair2=-7/2,1/3,-2/5"): {
+        "case": "general",
+        "coefficients": [[2, 1, "12"], [1, 2, "156"], [0, 3, "315"], [1, 1, "32"], [0, 2, "336"], [1, 0, "24"],
+                         [0, 1, "-132"], [0, 0, "208"]],
+        "bundle": bundle_doc(["0", "1", "0"], ["2/5", "1", "16/15"], ["1/3", "7/2", "0"], ["2/5", "1", "0"],
+                             ["0", "1", "-1/3"], ["2/15", "-11/15", "16/45"], "2/5", "-16/15"),
+        "asymptotes": [[0, 1, 0], [2, 21, 0], [6, 15, 16]],
+    },
+}
+
+
 class TestCurveRoundTrip:
     def test_curve_then_reconstruct(self, capsys, tmp_path):
         curve_file = str(tmp_path / "curve.json")
@@ -135,13 +183,19 @@ class TestCurveRoundTrip:
         assert doc["case"] == case.tag.value == "general"
         assert doc["coefficients"] == case.curve.coefficient_list()
         bundle = case.bundle
-        assert doc["bundle"]["L6"] == [str(bundle.L6.cx), str(bundle.L6.cy), str(bundle.L6.c0)]
-        assert doc["bundle"]["C"] == str(bundle.C) and doc["bundle"]["s"] == str(bundle.s)
+        assert doc["bundle"]["L6"] == [str(c) for c in bundle["L6"]]
+        assert doc["bundle"]["C"] == str(bundle["C"]) and doc["bundle"]["s"] == str(bundle["s"])
 
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "curve", "--pair1", "0,0,0", "--pair2", "1,0,1")
         assert code == 0
         assert json.loads(out)["case"] == "point_on_line_1"
+
+    @pytest.mark.parametrize("argv", list(CURVE_DOCUMENTS), ids=" ".join)
+    def test_curve_stdout_is_pinned(self, capsys, argv):
+        code, out, _ = run(capsys, "curve", *argv)
+        assert code == 0
+        assert out == json.dumps(CURVE_DOCUMENTS[argv], indent=2) + "\n"
 
 
 class TestScans:
@@ -212,6 +266,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, "count", "--input", str(path), "--area", "1")
         assert code == 2
         assert ":3:" in err
+
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [(b"0 0\n1 \xff\n2 2\n", 2), (b"0 0\r\n1 1\r\n\xfe 2\r\n", 3), (b"0 0\r1 1\r2 \xc3\n", 3)],
+        ids=["lf", "crlf", "cr"],
+    )
+    def test_non_utf8_file_cites_line(self, capsys, tmp_path, data, lineno):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "count", "--input", str(path), "--area", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"{path}:{lineno}: not UTF-8: ") and err.count("\n") == 1
 
     def test_decimal_area_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "0.5")

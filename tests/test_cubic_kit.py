@@ -47,12 +47,13 @@ from equiarea.geometry import (
 from equiarea.matching import IncidencePairParam, to_param
 from equiarea.polynomial import (
     MONOMIALS,
+    cleared,
     count_real_roots,
     cubic_value,
     on_line,
     poly_gcd,
+    rational_factors,
     rational_roots,
-    rational_roots_with_multiplicity,
     substitute,
     sylvester_resultant_y,
     x_section,
@@ -93,8 +94,8 @@ def fpoly(cubic: BivariateCubic) -> BivariatePoly:
 
 def oracle_match_coeffs(q1: IncidencePairParam, q2: IncidencePairParam) -> tuple[int, ...]:
     b = make_bundle(q1, q2)
-    l1, l2, l3, l6 = (BivariatePoly.linear(f.cx, f.cy, f.c0) for f in (b.L1, b.L2, b.L3, b.L6))
-    return oracle_coeffs(l1 * l2 * l3 + l6.scale(2) + BivariatePoly.constant(4 * b.C))
+    l1, l2, l3, l6 = (BivariatePoly.linear(*b[name]) for name in ("L1", "L2", "L3", "L6"))
+    return oracle_coeffs(l1 * l2 * l3 + l6.scale(2) + BivariatePoly.constant(4 * b["C"]))
 
 
 def oracle_leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
@@ -105,7 +106,7 @@ def oracle_leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
     y_mult = d - profile.degree
     factors = [(Line(0, 1, 0), y_mult)] if y_mult > 0 else []
     work = profile
-    for root, mult in rational_roots_with_multiplicity(profile):
+    for root, mult in rational_factors(cleared(profile.coeffs)[0])[0]:
         factors.append((Line(root.denominator, -root.numerator, 0), mult))
         for _ in range(mult):
             work, rem = work.divmod(UnivariatePoly([-root, 1]))

@@ -1,6 +1,5 @@
 """Match-curve derivation, asymptotes, reconstruction, intersection bounds."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -11,14 +10,13 @@ from pathlib import Path
 import pytest
 
 import equiarea
+from equiarea import curves
 from equiarea.curves import (
     AmbiguousMedian,
     BivariateCubic,
-    CurveError,
     CurveTag,
     DegenerateTriple,
     InfiniteSharedComponent,
-    LinearForm,
     NonSimpleFactorUnsupported,
     NotAMatchCurve,
     SamePair,
@@ -36,7 +34,7 @@ from equiarea.curves import (
 from equiarea.geometry import Line, Point
 from equiarea.matching import IncidencePairParam, matches_ccw
 
-from bivariate_oracle import BivariatePoly, make_bundle
+from bivariate_oracle import BivariatePoly
 
 P1 = IncidencePairParam.from_triple(0, 0, 0)          # line y = 0
 P2 = IncidencePairParam.from_triple(1, 2, 1)          # line y = x + 1
@@ -70,41 +68,44 @@ def partner_matching(rng, x, y, w):
             return gen
 
 
+def form_value(form, x, y):
+    cx, cy, c0 = form
+    return cx * x + cy * y + c0
+
+
 class TestBundle:
     def test_changed_l6_is_rejected(self):
-        bundle = make_bundle(P1, P2)
-        shifted = LinearForm(bundle.L6.cx, bundle.L6.cy, bundle.L6.c0 + 1)
-        with pytest.raises(CurveError):
-            dataclasses.replace(bundle, L6=shifted)
-        # Moving F along with L6 still breaks L6 = L1*L4 - L2*L5.
-        with pytest.raises(CurveError):
-            dataclasses.replace(bundle, L6=shifted, F=bundle.F + 1)
+        _, _, (l1, l2, _, l4, l5, l6) = curves._bundle_forms(P1, P2)
+        assert curves._l6_holds(l1, l2, l4, l5, l6)
+        assert not curves._l6_holds(l1, l2, l4, l5, (l6[0], l6[1], l6[2] + 1))
+        # L4 + 1 moves L1*L4 - L2*L5 by L1, so only L6 + L1 matches it.
+        l4_moved = (l4[0], l4[1], l4[2] + 1)
+        assert not curves._l6_holds(l1, l2, l4_moved, l5, l6)
+        assert curves._l6_holds(l1, l2, l4_moved, l5, tuple(a + b for a, b in zip(l6, l1)))
 
     def test_worked_example_forms(self):
         bundle = match_curve(P1, P2).bundle
-        assert bundle.L1 == LinearForm(0, 1, 0)
-        assert bundle.L2 == LinearForm(-1, 1, -1)
-        assert bundle.L3 == LinearForm(2, -1, 0)
-        assert bundle.L4 == LinearForm(-1, 1, 0)
-        assert bundle.L5 == LinearForm(0, 1, -2)
-        assert bundle.L6 == LinearForm(-2, 3, -2)
-        assert (bundle.C, bundle.D, bundle.E, bundle.F) == (-1, -2, 3, -2)
+        assert bundle == {
+            "L1": (0, 1, 0), "L2": (-1, 1, -1), "L3": (2, -1, 0), "L4": (-1, 1, 0), "L5": (0, 1, -2),
+            "L6": (-2, 3, -2), "C": -1, "D": -2, "E": 3, "F": -2, "s": 1,
+        }
+        assert all(type(c) is F for v in bundle.values() for c in (v if isinstance(v, tuple) else (v,)))
 
     def test_form_geometry(self):
         rng = random.Random(12)
         for _ in range(100):
             q1, q2 = random_general_position_pair(rng)
             b = match_curve(q1, q2).bundle
-            # L6 = L1*L4 - L2*L5 is asserted by the bundle itself; check the
-            # geometric reading of each form.
-            assert b.L3.evaluate(q1.a, q1.b) == 0
-            assert b.L3.evaluate(q2.a, q2.b) == 0
-            assert b.L4.evaluate(q1.a, q1.b) == 0
-            assert Line(b.L4.cx, b.L4.cy, b.L4.c0).slope() == q2.kappa
-            assert b.L5.evaluate(q2.a, q2.b) == 0
-            assert Line(b.L5.cx, b.L5.cy, b.L5.c0).slope() == q1.kappa
-            assert b.C == q1.kappa - q2.kappa
-            assert b.L6 == LinearForm(b.D, b.E, b.F)
+            # L6 = L1*L4 - L2*L5 is checked where the bundle is built; check
+            # the geometric reading of each form.
+            assert form_value(b["L3"], q1.a, q1.b) == 0
+            assert form_value(b["L3"], q2.a, q2.b) == 0
+            assert form_value(b["L4"], q1.a, q1.b) == 0
+            assert Line(*b["L4"]).slope() == q2.kappa
+            assert form_value(b["L5"], q2.a, q2.b) == 0
+            assert Line(*b["L5"]).slope() == q1.kappa
+            assert b["C"] == q1.kappa - q2.kappa
+            assert b["L6"] == (b["D"], b["E"], b["F"])
 
     def test_median_direction(self):
         # L6 = 0 joins the lines' intersection to the midpoint of the points.
@@ -116,8 +117,8 @@ class TestBundle:
 
             o = intersect(q1.line, q2.line)
             mid = Point((q1.a + q2.a) / 2, (q1.b + q2.b) / 2)
-            assert b.L6.evaluate(o.x, o.y) == 0
-            assert b.L6.evaluate(mid.x, mid.y) == 0
+            assert form_value(b["L6"], o.x, o.y) == 0
+            assert form_value(b["L6"], mid.x, mid.y) == 0
 
 
 class TestMatchCurveCases:
@@ -147,8 +148,8 @@ class TestMatchCurveCases:
         case = match_curve(P1, P2_ON_L1)
         assert case.tag is CurveTag.POINT_ON_LINE_1
         assert case.curve.coeffs == SPECIAL_COEFFS
-        assert case.bundle.C == -1
-        assert case.bundle.s == -1  # s = C*(a2-a1)
+        assert case.bundle["C"] == -1
+        assert case.bundle["s"] == -1  # s = C*(a2-a1)
 
     def test_point_on_line_symmetric_tag(self):
         case = match_curve(P2_ON_L1, P1)

@@ -8,10 +8,10 @@ rich-line table. `bivariate_oracle` keeps the Fraction rule (shear by 1,
 through `line_through`, lines sorted, `to_param` on each member); all three
 must give its shear and its list in content and order, since the trial
 draws its generators by index. `match_curve` builds the curve from the
-generators' cleared values, and `CurveCase.bundle` divides the same integer
-forms back; the Fraction `make_bundle` of `bivariate_oracle` gives the
-oracle bundle, its product the oracle curve, and `Line.contains` the oracle
-tag. Examples are derandomized, so every run draws the same inputs.
+generators' cleared values, and `CurveCase.bundle` gives the same integer
+forms over their denominators; the Fraction `make_bundle` of
+`bivariate_oracle` gives the oracle bundle, its product the oracle curve,
+and `Line.contains` the oracle tag. Examples are derandomized, so every run draws the same inputs.
 """
 
 from fractions import Fraction as F

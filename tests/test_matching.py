@@ -207,7 +207,7 @@ class TestCountMatchingPairs:
         pts = [Point(x, y) for y in range(3) for x in range(3)]
         sheared = shear(pts, find_shear(pts))
         pairs = incidence_pairs(sheared, 2)
-        m = count_matching_pairs(pairs, 1, require_q_in_s=True, points=sheared)
+        m = count_matching_pairs(pairs, 1, points=sheared)
         # Independent oracle: enumerate unit-area triangles, count vertex pairs
         # whose two top lines both hold >= 2 points.
         from itertools import combinations
@@ -222,10 +222,6 @@ class TestCountMatchingPairs:
                 if rich[i] and rich[j]:
                     expected += 1
         assert m == expected
-
-    def test_filter_needs_points(self):
-        with pytest.raises(ValueError):
-            count_matching_pairs([P_A, P_B], 1, require_q_in_s=True)
 
     def test_zero_area_rejected(self):
         pts = [Point(x, y) for y in range(3) for x in range(3)]
@@ -247,7 +243,7 @@ class TestCountMatchingPairs:
         sheared = shear(pts, find_shear(pts))
         pairs = incidence_pairs(sheared, 3)
         for require_q_in_s, expected in ((False, 36), (True, 16)):
-            assert count_matching_pairs(pairs, 1, require_q_in_s, sheared) == expected
+            assert count_matching_pairs(pairs, 1, sheared if require_q_in_s else None) == expected
             assert matching_count(pts, 3, 1, require_q_in_s) == (24, expected)
             assert matching_count(pts, 3, -1, require_q_in_s) == (24, expected)
 
@@ -277,7 +273,7 @@ class TestCountMatchingPairs:
         points = [p.point for p in pairs] + sorted(kept)
         expected = sum(third_vertex(p1, p2) in kept for p1, p2 in matched)
         assert 2 <= expected < 6
-        assert count_matching_pairs(pairs, area, True, points) == expected
+        assert count_matching_pairs(pairs, area, points) == expected
         lines, in_s, scale = pair_incidences(pairs, points)
         for count in (probe_matching_on_lines, join_matching_on_lines):
             assert count(lines, area * scale * scale) == 6

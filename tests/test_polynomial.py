@@ -15,16 +15,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equiarea import curves
+from equiarea import curves, polynomial
 from equiarea.curves import BivariateCubic, curve_intersection_bound
 from equiarea.geometry import Point
 from equiarea.polynomial import (
+    cleared,
     count_real_roots,
     nearest_real_root,
     poly_gcd,
+    rational_factors,
     rational_roots,
-    rational_roots_with_multiplicity,
-    squarefree_part,
     sylvester_resultant_y,
 )
 
@@ -130,7 +130,7 @@ class TestUnivariateBasics:
 
     def test_squarefree(self):
         p = from_roots(1, 1, -2)
-        assert squarefree_part(p) == from_roots(1, -2).primitive()
+        assert polynomial._squarefree(tuple(cleared(p.coeffs)[0])) == tuple(cleared(from_roots(1, -2).coeffs)[0])
 
     def test_primitive(self):
         p = UnivariatePoly([F(2, 3), F(4, 3)])
@@ -175,7 +175,7 @@ class TestRationalRoots:
 
     def test_multiplicities(self):
         p = from_roots(1, 1, -2)
-        assert rational_roots_with_multiplicity(p) == [(-2, 1), (1, 2)]
+        assert rational_factors(cleared(p.coeffs)[0])[0] == [(-2, 1), (1, 2)]
 
     def test_close_roots_separated(self):
         p = from_roots(F(1, 3), F(1, 3) + F(1, 1000))
@@ -365,7 +365,7 @@ class TestAgainstSympy:
     @given(univariates())
     def test_rational_roots_with_multiplicity(self, p):
         expected = sympy_rational_roots(p)
-        assert rational_roots_with_multiplicity(p) == expected
+        assert rational_factors(cleared(p.coeffs)[0])[0] == expected
         assert rational_roots(p) == [r for r, _ in expected]
 
     @ORACLES
