@@ -37,7 +37,7 @@ from .curves import (
 from .geometry import GeometryError, InvariantViolation, parse_rational
 from .incidence import incidence_stats, rich_lines
 from .matching import IncidencePairParam
-from .pointset import PointFileError, read_points, write_points
+from .pointset import PointFileError, read_points, read_text, write_points
 
 log = logging.getLogger("equiarea")
 
@@ -83,9 +83,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_rich_lines(args: argparse.Namespace) -> int:
-    points = read_points(args.input)
+    lines = rich_lines(read_points(args.input), args.k)
     print("A,B,C,members")
-    for sl in rich_lines(points, args.k):
+    for sl in lines:
         print(f"{sl.line.A},{sl.line.B},{sl.line.C},{len(sl.members)}")
     return 0
 
@@ -139,8 +139,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(read_text(args.input))
+    except json.JSONDecodeError as exc:
+        raise PointFileError(args.input, exc.lineno, f"not JSON: {exc.msg} (column {exc.colno})") from exc
     entries = doc["coefficients"] if isinstance(doc, dict) else doc
     if entries is None:
         raise ValueError("document holds no curve coefficients")
@@ -272,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except PointFileError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (GeometryError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (GeometryError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

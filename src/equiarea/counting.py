@@ -275,20 +275,10 @@ def matching_count(
     the set). About min(N*m, 2*P*N) integer steps over `incidence.rich_table`,
     for P the points on those m lines, with no shear.
     """
-    lines, pts, scale = rich_incidences(points, k)
+    pts, _, scale = integer_points(points)
+    lines = _incidence.rich_table(pts, k)
     m = count_matching_on_lines(lines, Fraction(area) * scale * scale, set(pts) if require_q_in_s else None)
     return sum(map(len, lines.values())), m
-
-
-def rich_incidences(
-    points: Sequence[Point], k: int
-) -> tuple[dict[tuple[int, int, int], list[tuple[int, int]]], list[tuple[int, int]], int]:
-    """(lines, pts, scale): the k-rich lines as the integer line table of
-    `count_matching_on_lines`, over `pts`, the points scaled by `scale`."""
-    pts, _, scale = integer_points(points)
-    table = _incidence.rich_table(pts, k)
-    # The key (p, q, c) names the line p*y - q*x = c.
-    return {(-q, p, -c): [pts[i] for i in members] for (p, q, c), members in table.items()}, pts, scale
 
 
 def matching_identity_check(
@@ -322,13 +312,7 @@ def gen_lattice_section(n: int) -> list[Point]:
         raise ValueError("lattice sections start at n = 4")
     rows = max(2, round(math.sqrt(math.log2(n))))
     cols = -(-n // rows)
-    points = []
-    for y in range(rows):
-        for x in range(cols):
-            points.append(Point(x, y))
-            if len(points) == n:
-                return points
-    return points
+    return [Point(x, y) for y in range(rows) for x in range(cols)][:n]
 
 
 def gen_random(n: int, coordinate_bound: int, seed: int) -> list[Point]:
@@ -338,18 +322,11 @@ def gen_random(n: int, coordinate_bound: int, seed: int) -> list[Point]:
     available = (2 * coordinate_bound + 1) ** 2
     if n > available:
         raise Unsatisfiable(f"cannot place {n} distinct points in {available} cells")
-    rng = random.Random(seed)
-    seen: set[Point] = set()
-    out: list[Point] = []
-    while len(out) < n:
-        p = Point(
-            rng.randint(-coordinate_bound, coordinate_bound),
-            rng.randint(-coordinate_bound, coordinate_bound),
-        )
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    rng, b = random.Random(seed), coordinate_bound
+    drawn: dict[Point, None] = {}  # first draws in order, repeats dropped
+    while len(drawn) < n:
+        drawn[Point(rng.randint(-b, b), rng.randint(-b, b))] = None
+    return list(drawn)
 
 
 def gen_grid(rows: int, cols: int) -> list[Point]:

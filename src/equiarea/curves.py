@@ -15,6 +15,7 @@ shear rule and incidence's ordered table, and builds only the pairs it samples.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -720,8 +721,7 @@ def _sheared_incidences(points: Iterable[tuple[int, int]]) -> tuple[list[tuple[t
     j = shear_denominator(pts)
     d, e = (j, 1) if j else (1, 0)
     sheared = sorted((d * x + e * y, d * y) for x, y in pts)
-    table = ordered_table(sheared, 2, d)
-    return [(key, sheared[i]) for _, key, members in table for i in members], d
+    return [(key, point) for _, key, members in ordered_table(sheared, 2, d) for point in members], d
 
 
 def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
@@ -768,7 +768,9 @@ def _run_scan(kind: str, trials: int, seed: int, threads: int) -> ScanReport:
         # Imported here: the pool loads multiprocessing, which nothing else needs.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # A forking pool starts all its workers at once: no more than chunks or usable CPUs.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(threads, len(los), cpus)) as pool:
             chunks = list(pool.map(_scan_chunk, repeat(kind), repeat(seed), los, his))
     return ScanReport(trials, max(mv for mv, _ in chunks), sum(vi for _, vi in chunks))
 

@@ -1,6 +1,7 @@
 """Spanned lines, k-rich lines, their incidence pairs, and summary statistics.
 
-All of it runs on the integer line kernel `pair_lines`. `ordered_table` sorts
+All of it runs on the integer line kernel `pair_lines` and the line table
+`rich_table` that counting, matching and curves share. `ordered_table` sorts
 the rich lines once by canonical `Line`, the order every line and incidence
 list here follows, and `incidence_param` builds an incidence pair straight
 from a line key and an integer point.
@@ -62,8 +63,8 @@ def members_from_pairs(pairs: int) -> int:
     return m
 
 
-def rich_table(pts: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, int, int], list[int]]:
-    """Line key -> member indices in ascending order, for lines holding at least k of `pts`."""
+def rich_table(pts: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, int, int], list[tuple[int, int]]]:
+    """Key (p, q, c) -> member points, ascending, per line p*y - q*x = c holding >= k of `pts`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     # Pairs reach a line in lexicographic order, so its first pair (i, j)
@@ -75,10 +76,10 @@ def rich_table(pts: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, int, i
             table[key] = [i, j]
         elif members[0] == i:
             members.append(j)
-    return {key: members for key, members in table.items() if len(members) >= k}
+    return {key: [pts[i] for i in members] for key, members in table.items() if len(members) >= k}
 
 
-def ordered_table(pts: Sequence[tuple[int, int]], k: int, scale: int) -> list[tuple[Line, tuple, list[int]]]:
+def ordered_table(pts: Sequence[tuple[int, int]], k: int, scale: int) -> list[tuple[Line, tuple, list]]:
     """`rich_table` as (`key_line`, key, members), sorted by the canonical
     Line: the order of every line and incidence list here."""
     return sorted((key_line(key, scale), key, members) for key, members in rich_table(pts, k).items())
@@ -103,7 +104,8 @@ def spanned_lines(points: Sequence[Point]) -> list[SpannedLine]:
 def rich_lines(points: Sequence[Point], k: int) -> list[SpannedLine]:
     """Spanned lines holding at least k points."""
     pts, originals, scale = integer_points(points)
-    return [SpannedLine(line, tuple(originals[i] for i in on)) for line, _, on in ordered_table(pts, k, scale)]
+    original = dict(zip(pts, originals))
+    return [SpannedLine(line, tuple(map(original.get, on))) for line, _, on in ordered_table(pts, k, scale)]
 
 
 def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]:
@@ -113,7 +115,7 @@ def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]
     any spanned line is vertical.
     """
     pts, _, scale = integer_points(points)
-    return [incidence_param(key, pts[i], scale) for _, key, on in ordered_table(pts, k, scale) for i in on]
+    return [incidence_param(key, point, scale) for _, key, on in ordered_table(pts, k, scale) for point in on]
 
 
 @dataclass(frozen=True)

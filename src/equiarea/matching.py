@@ -9,9 +9,9 @@ evaluated in a division-free product form, so no denominator can vanish:
     (y - b - kappa*(x - a)) * (y - b - w*(x - a)) == 2*A*(w - kappa)
 
 with (a, b, kappa) the first pair and (x, y, w) the second. For lines
-A*x + B*y + C = 0, det = A1*B2 - A2*B1 and (dx, dy) = p2 - p1, it reads
-(A1*dx + B1*dy) * (A2*dx + B2*dy) == 2*A*det: homogeneous in each line's
-coefficients, so the matching count runs on integer lines, vertical included.
+p_i*y - q_i*x = c_i, det = p1*q2 - p2*q1 and (dx, dy) the step between the
+points, it reads (p1*dy - q1*dx) * (p2*dy - q2*dx) == 2*A*det, so the count
+runs on `incidence.rich_table`'s integer lines, vertical ones included.
 """
 
 from __future__ import annotations
@@ -171,15 +171,16 @@ def pair_incidences(
 ) -> tuple[dict[tuple[int, int, int], list[tuple[int, int]]], set[tuple[int, int]] | None, int]:
     """(lines, in_s, scale): the pairs as the integer line table of
     `count_matching_on_lines`, and `points` as a set, both scaled by `scale`,
-    the least common denominator. A key is the pair's canonical `Line` with
-    C scaled, so gcd(A, B) may exceed 1."""
+    the least common denominator. A pair of slope n/d on the scaled point
+    (x, y) has the `rich_table` key (d, n, d*y - n*x)."""
     listed = [] if points is None else list(points)
     coords = [c for p in pairs for c in (p.a, p.b)] + [c for p in listed for c in (p.x, p.y)]
     scale = math.lcm(*(c.denominator for c in coords))
     lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     for p in pairs:
-        line = p.line
-        lines.setdefault((line.A, line.B, line.C * scale), []).append((int(p.a * scale), int(p.b * scale)))
+        x, y = int(p.a * scale), int(p.b * scale)
+        d, n = p.kappa.denominator, p.kappa.numerator
+        lines.setdefault((d, n, d * y - n * x), []).append((x, y))
     in_s = None if points is None else {(int(p.x * scale), int(p.y * scale)) for p in listed}
     return lines, in_s, scale
 
@@ -199,12 +200,13 @@ def count_matching_on_lines(
     """Ordered counterclockwise matching pairs among integer incidences, in
     about min(N*m, 2*P*N) steps.
 
-    `lines` maps (A, B, C), integers for A*x + B*y + C = 0, to the integer
-    points on that line, N in all, through P distinct points. With `points`,
-    a match also needs its third vertex q = p1 + p2 - o in `points`, for o the
-    lines' intersection. The probe takes about N*m steps and the join about
-    P*N, each up to about two probe steps, so this keeps the probe when
-    m < 2*P and runs the join otherwise. Both count exactly the same pairs.
+    `lines` is a `rich_table`: key (p, q, c), for the line p*y - q*x = c, to
+    the integer points on it, N in all, through P distinct points. With
+    `points`, a match also needs its third vertex r1 + r2 - o in `points`, for
+    r1, r2 its points and o the lines' intersection. The probe takes about N*m
+    steps and the join about P*N, each up to about two probe steps, so this
+    keeps the probe when m < 2*P and runs the join otherwise. Both count
+    exactly the same pairs.
     """
     on_lines = {p for members in lines.values() for p in members}
     if len(lines) < 2 * len(on_lines):
@@ -219,35 +221,36 @@ def probe_matching_on_lines(
 ) -> int:
     """`count_matching_on_lines` by one probe per (line, member, other line).
 
-    As L1(p1) = L2(p2) = 0, the predicate reads -L1(p2) * L2(p1) == 2*area*det,
-    so for a fixed (l1, p1) and each l2 not parallel to l1 the one candidate
-    p2 has L1(p2) = -2*area*det / L2(p1), or there is none when L2(p1) = 0.
+    For L_i(x, y) = p_i*y - q_i*x - c_i and points r1, r2, as L1(r1) =
+    L2(r2) = 0 the predicate reads -L1(r2) * L2(r1) == 2*area*det, so for a
+    fixed (l1, r1) and each l2 not parallel to l1 the one candidate r2 has
+    L1(r2) = -2*area*det / L2(r1), or there is none when L2(r1) = 0.
     """
     twice = _checked_twice(area)
     num, den = twice.numerator, twice.denominator
     on_line = [(line, Counter(members)) for line, members in lines.items()]
     total = 0
-    for (a1, b1, c1), members in lines.items():
-        for (a2, b2, c2), on2 in on_line:
-            det = a1 * b2 - a2 * b1
+    for (p1, q1, c1), members in lines.items():
+        for (p2, q2, c2), on2 in on_line:
+            det = p1 * q2 - p2 * q1
             if not det:
                 continue
-            # det * o; a candidate is p2 = o + t * (B2, -A2) / det for t = L1(p2).
-            xo, yo = b1 * c2 - b2 * c1, a2 * c1 - a1 * c2
+            # det * o; a candidate is r2 = o + t * (p2, q2) / det for t = L1(r2).
+            xo, yo = p2 * c1 - p1 * c2, q2 * c1 - q1 * c2
             if points is not None:
                 if xo % det or yo % det:
-                    continue  # o, hence q, is not an integer point
+                    continue  # o, hence the third vertex, is not an integer point
                 ox, oy = xo // det, yo // det
             target = -num * det
             for x1, y1 in members:
-                v = (a2 * x1 + b2 * y1 + c2) * den
+                v = (p2 * y1 - q2 * x1 - c2) * den
                 if not v:
                     continue
                 t, r = divmod(target, v)
                 if r:
                     continue
-                x, rx = divmod(xo + t * b2, det)
-                y, ry = divmod(yo - t * a2, det)
+                x, rx = divmod(xo + t * p2, det)
+                y, ry = divmod(yo + t * q2, det)
                 if rx or ry:
                     continue
                 hits = on2.get((x, y))
@@ -267,23 +270,22 @@ def join_matching_on_lines(
     p1, p2 and u = p2 - p1: a line through p1 with direction v and
     c = cross(u, v) != 0 meets that locus once, at o = p1 + (2*area / c) * v,
     and its one partner is the line through p2 and o, with direction
-    2*area*v - c*u. Each point keeps its lines by primitive direction, under
-    both signs, so the partner is one lookup. With `points`, o must be an
-    integer point, which for a primitive v means that c divides 2*area (so a
-    fractional 2*area matches nothing), and q = p2 - (o - p1) must be in
-    `points`.
+    2*area*v - c*u. Each point keeps its lines by their keys' primitive
+    directions (p, q), under both signs, so the partner is one lookup of its
+    direction over its gcd. With `points`, o must be an integer point, which
+    for a primitive v means that c divides 2*area (so a fractional 2*area
+    matches nothing), and the third vertex p2 - (o - p1) must be in `points`.
     """
     twice = _checked_twice(area)
     num, den = twice.numerator, twice.denominator
     if points is not None and den != 1:
         return 0
     fans: dict[tuple[int, int], Counter[tuple[int, int]]] = {}
-    for (a, b, _), members in lines.items():
-        g = math.gcd(a, b)
-        for p, hits in Counter(members).items():
-            fan = fans.setdefault(p, Counter())
-            fan[b // g, -a // g] += hits
-            fan[-b // g, a // g] += hits
+    for (p, q, _), members in lines.items():
+        for point, hits in Counter(members).items():
+            fan = fans.setdefault(point, Counter())
+            fan[p, q] += hits
+            fan[-p, -q] += hits
     gcd = math.gcd
     total = 0
     for (x1, y1), fan1 in fans.items():

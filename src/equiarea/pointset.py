@@ -38,16 +38,22 @@ def parse_points(lines: Iterable[str], source: str = "<input>") -> list[Point]:
     return points
 
 
-def read_points(path: str | Path) -> list[Point]:
+def read_text(path: str | Path) -> str:
+    """The file decoded as UTF-8, every universal newline read as a line feed;
+    a byte that is not UTF-8 raises PointFileError at its file:line."""
     path = Path(path)
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bad byte's line, with line ends counted as the parser splits them.
+        # The bad byte's line, with line ends counted as universal newlines.
         lineno = len((data[: exc.start] + b".").splitlines())
         raise PointFileError(str(path), lineno, f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from exc
-    return parse_points(io.StringIO(text, newline=None), source=str(path))
+    return io.StringIO(text, newline=None).read()
+
+
+def read_points(path: str | Path) -> list[Point]:
+    return parse_points(io.StringIO(read_text(path)), source=str(path))
 
 
 def write_points(path: str | Path, points: Sequence[Point]) -> None:

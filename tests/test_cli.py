@@ -279,6 +279,24 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith(f"{path}:{lineno}: not UTF-8: ") and err.count("\n") == 1
 
+    def test_rich_lines_bad_k_prints_nothing(self, capsys, tmp_path):
+        code, out, err = run(capsys, "rich-lines", "--input", write_square(tmp_path), "--k", "0")
+        assert (code, out, err) == (2, "", "error: k must be at least 2\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'[[3, 0, "1"],\n[0, \xff0, "1"]]\n', "not UTF-8: invalid start byte 0xff"),
+            (b'[[3, 0, "1"],\r\n', "not JSON: Expecting value (column 1)"),
+        ],
+        ids=["not-utf8", "truncated"],
+    )
+    def test_bad_curve_document_cites_line(self, capsys, tmp_path, data, message):
+        path = tmp_path / "curve.json"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "reconstruct", "--in", str(path))
+        assert (code, out, err) == (2, "", f"{path}:2: {message}\n")
+
     def test_decimal_area_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "0.5")
         assert code == 2 and "rational" in err

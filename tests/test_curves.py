@@ -498,3 +498,37 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "threads, trials, cpus, workers",
+    [(100_000, 7, 4, 4), (100_000, 3, 8, 3), (8, 50, 2, 2), (3, 50, 8, 3), (100_000, 9, None, 5)],
+)
+def test_scan_pool_is_capped(monkeypatch, threads, trials, cpus, workers):
+    """The pool gets min(threads, chunks, usable CPUs) workers. A stub pool
+    records the size and maps in this process, so no process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if cpus is None:  # no affinity call: fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert curves.bezout_scan(trials, 1, threads) == curves.bezout_scan(trials, 1)
+    assert sizes == [workers]

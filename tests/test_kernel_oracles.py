@@ -29,7 +29,6 @@ from equiarea.counting import (
     fixed_area_triangles,
     gen_lattice_section,
     matching_count,
-    rich_incidences,
     tally_by_richness,
 )
 from equiarea.geometry import (
@@ -47,7 +46,9 @@ from equiarea.incidence import (
     incidence_stats,
     key_line,
     members_from_pairs,
+    ordered_table,
     pair_lines,
+    rich_table,
     spanned_lines,
     stats_from_sizes,
 )
@@ -227,7 +228,8 @@ def test_matching_probe_equals_sheared_scan(family):
     def check(points, drawn, k, require_q_in_s):
         sheared = shear(points, find_shear(points))
         pairs = incidence_pairs(sheared, k)
-        lines, pts, scale = rich_incidences(points, k)
+        pts, _, scale = integer_points(points)
+        lines = rich_table(pts, k)
         tables = (
             (lines, set(pts) if require_q_in_s else None, scale),
             pair_incidences(pairs, sheared if require_q_in_s else None),
@@ -244,9 +246,28 @@ def test_matching_probe_equals_sheared_scan(family):
     check()
 
 
+@pytest.mark.parametrize("family", ["collinear", "huge", "rational"])
+def test_one_line_gets_one_key(family):
+    """`rich_table` of the cleared set and `pair_incidences` of its incidence
+    pairs give every line the same key, with the same members in the same order."""
+
+    @ORACLES
+    @given(FAMILIES[family], st.integers(2, 4))
+    def check(points, k):
+        sheared = shear(points, find_shear(points))
+        pts, _, scale = integer_points(sheared)
+        lines, in_s, cleared = pair_incidences(incidence_pairs(sheared, k), sheared)
+        assert (in_s, cleared) == (set(pts), scale)
+        assert list(lines.items()) == [(key, members) for _, key, members in ordered_table(pts, k, scale)]
+        assert lines == rich_table(pts, k)
+
+    check()
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_join_equals_probe_on_a_lattice_section(k):
-    lines, pts, _ = rich_incidences(gen_lattice_section(60), k)
+    pts, _, _ = integer_points(gen_lattice_section(60))
+    lines = rich_table(pts, k)
     for area in (F(1, 2), F(1)):
         for in_s in (set(pts), None):
             assert join_matching_on_lines(lines, area, in_s) == probe_matching_on_lines(lines, area, in_s)

@@ -256,14 +256,14 @@ class TestCountMatchingPairs:
                 assert count(lines, scale * scale) == expected
 
     def test_lines_whose_direction_is_not_primitive(self):
-        # Cleared by scale 2, the line y = x + 1/2 has key (2, -2, 2): its
-        # direction (B, -A) = (-2, -2) is not primitive, so the join must not
-        # read integrality off it. 13 lines through 3 points send
+        # Cleared by scale 2, the line y = x + 1/2 is 2y - 2x = 2; its key is
+        # the primitive (1, 1, 1), whose direction (1, 1) the join reads
+        # integrality off. 13 lines through 3 points send
         # count_matching_pairs to the join.
         on_line = [(0, F(1, 2)), (F(1, 2), 1), (1, F(3, 2))]
         pairs = [IncidencePairParam.from_triple(x, y, k) for (x, y), k in product(on_line, (1, 0, 2, -1, F(1, 2)))]
         lines, _, scale = pair_incidences(pairs)
-        assert (scale, len(lines)) == (2, 13) and (2, -2, 2) in lines
+        assert (scale, len(lines)) == (2, 13) and (1, 1, 1) in lines
         area = F(1, 4)
         matched = [(p1, p2) for p1 in pairs for p2 in pairs if geometric_ccw(p1, p2, area)]
         assert len(matched) == 6
