@@ -72,17 +72,17 @@ def _twice_area(area: Fraction, scale: int) -> int | None:
 
 
 def _bases_by_direction(
-    pts, area: Fraction, scale: int, with_indices: bool = False, others: dict | None = None
+    pts, twice: int | None, with_indices: bool = False, others: dict | None = None
 ) -> dict:
     """Base pairs by primitive direction (p, q), as (value, offset) or (i, j, value, offset).
 
-    This is `incidence.pair_lines` inlined, being count_pairline's hot loop.
+    This is `incidence.pair_lines` inlined, being the pair table's hot loop.
     A base of step g*(p, q) and key value p*y - q*x spans area A with every
-    point whose value differs by offset = 2*A*scale^2 / g. Values are
-    integers, so a base whose offset is not is dropped; with `others`, its
-    value is appended to others[(p, q)] instead. Empty when no base can exist.
+    point whose value differs by offset = twice / g, for twice = 2*A*scale^2.
+    Values are integers, so a base whose offset is not is dropped; with
+    `others`, its value is appended to others[(p, q)] instead. Empty when
+    twice is None, as no base can exist.
     """
-    twice = _twice_area(area, scale)
     if twice is None:
         return {}
     gcd = math.gcd
@@ -105,13 +105,24 @@ def _bases_by_direction(
     return by_direction
 
 
-def _probe_pencils(pts, by_direction: dict, sizes: Counter | None = None, others: dict | None = None) -> int:
-    """Triangles found by probing each base's two parallel lines in its direction's pencil.
+def _triangles(total: int) -> int:
+    if total % 3:
+        raise InvariantViolation("each triangle must be found once per side")
+    return total // 3
 
-    With `sizes`, every pencil line holding 2 or more points is also tallied
-    there by its member count; `others` then holds the values of the pairs
-    that are not bases, as `_bases_by_direction` leaves them.
+
+def _pair_count(pts, twice: int, sizes: Counter | None = None) -> int:
+    """The pair table: every base pair stored by direction, then each base's
+    two parallel lines probed in its direction's pencil.
+
+    About n^2/2 stored entries. With `sizes`, every line through 2 or more
+    points is also tallied there by its member count: a direction with a
+    base has a pencil anyway, and the lines of the other directions come
+    from the values of their own pairs, which `_bases_by_direction` leaves
+    in `others`.
     """
+    others = None if sizes is None else {}
+    by_direction = _bases_by_direction(pts, twice, others=others)
     n = len(pts)
     total = 0
     for (p, q), bases in by_direction.items():
@@ -126,9 +137,106 @@ def _probe_pencils(pts, by_direction: dict, sizes: Counter | None = None, others
                 sizes[2] += pairs
             else:
                 sizes.update(members for members in pencil.values() if members > 1)
-    if total % 3:
-        raise InvariantViolation("each triangle must be found once per side")
-    return total // 3
+    if sizes is not None:
+        for direction, values in others.items():
+            if direction not in by_direction:
+                for pairs in Counter(values).values():
+                    sizes[_incidence.members_from_pairs(pairs)] += 1
+    return _triangles(total)
+
+
+#: The pencils run when n * (the sum over their directions of 1 + steps) is
+#: at most this many times C(n, 2). That ratio is 4.0-5.4 on lattice
+#: sections, grids and parallel lines, and 67-83 on the scaling experiment's
+#: random sets; the two branches take about equal time near 10-20, on
+#: denser random sets.
+PENCIL_COST_LIMIT = 8
+
+
+def _pencil_plan(pts, twice: int, every_direction: bool, limit: int | None = None):
+    """(codes, width, radius, plan), where plan maps each primitive direction
+    the pencils need to its steps; None once they would cost more than
+    limit * C(n, 2).
+
+    A point is coded as x*W + y - y_min, for W = 2*radius + 1 and radius the
+    range of y. Codes ascend with `pts`, and code(b) - code(a) = dx*W + dy
+    tells every difference (dx, dy) apart, as |dy| <= radius. The distinct
+    differences, met row by row, reduce to a direction code p*W + q and a
+    step g = gcd(dx, dy), which is kept when it divides `twice`. A direction
+    with a step, or any direction with `every_direction`, costs n * (1 + its
+    steps). On random sets nearly every difference is a new direction, so a
+    plan over the limit is dropped within a few rows.
+    """
+    n = len(pts)
+    low = min((y for _, y in pts), default=0)
+    radius = max((y for _, y in pts), default=0) - low
+    width = 2 * radius + 1
+    codes = [x * width + y - low for x, y in pts]
+    budget = None if limit is None else limit * math.comb(n, 2)
+    gcd = math.gcd
+    plan: dict[int, list[int]] = {}
+    seen: set[int] = set()
+    cost = 0
+    for i, code in enumerate(codes):
+        new = {other - code for other in codes[i + 1 :]} - seen
+        seen |= new
+        for difference in new:
+            dx = (difference + radius) // width
+            g = gcd(dx, difference - dx * width)
+            step = twice % g == 0
+            if step or every_direction:
+                direction = difference // g
+                steps = plan.get(direction)
+                if steps is None:
+                    plan[direction] = steps = []
+                    cost += n
+                if step:
+                    steps.append(g)
+                    cost += n
+        if budget is not None and cost > budget:
+            return None
+    return codes, width, radius, plan
+
+
+def _pencil_count(pts, twice: int, sizes: Counter | None = None, limit: int | None = None) -> int | None:
+    """The pencils: one n-point pencil per direction, and no stored pair.
+
+    For each direction (p, q) of `_pencil_plan` the pencil maps the value
+    p*y - q*x of every line to its member count. For each step g, every
+    base a -> a + g*(p, q) is found by a set lookup and adds the pencil
+    counts at its value +- twice / g. That is O(n * |D|) time and
+    O(n + |D|) memory, for D the distinct differences. With `sizes`, every
+    spanned direction gets a pencil, and its lines through 2 or more points
+    are tallied there by member count. None, with `sizes` untouched, when
+    the plan is over `limit`.
+    """
+    planned = _pencil_plan(pts, twice, sizes is not None, limit)
+    if planned is None:
+        return None
+    codes, width, radius, plan = planned
+    code_set = set(codes)
+    total = 0
+    for direction, steps in plan.items():
+        p = (direction + radius) // width
+        q = direction - p * width
+        values = [p * y - q * x for x, y in pts]
+        pencil = Counter(values)
+        get = pencil.get
+        if sizes is not None:
+            sizes.update(pencil.values())
+        for g in steps:
+            shift, offset = g * direction, twice // g
+            total += sum([get(v + offset, 0) + get(v - offset, 0)
+                          for code, v in zip(codes, values) if code + shift in code_set])
+    if sizes is not None:
+        del sizes[1]  # the pencils also hold every line through one point
+    return _triangles(total)
+
+
+def _count(pts, twice: int, sizes: Counter | None = None) -> int:
+    """The pencils when their plan is within PENCIL_COST_LIMIT, else the pair table."""
+    count = _pencil_count(pts, twice, sizes, PENCIL_COST_LIMIT)
+    return _pair_count(pts, twice, sizes) if count is None else count
 
 
 def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
@@ -138,35 +246,37 @@ def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
     to the base at the matching area offset. Within a parallel pencil the line
     through a point is keyed by the linear functional p*y - q*x of the
     primitive direction (p, q), so each lookup is a hash probe that also
-    catches lines holding just that one point. All of it is integer arithmetic.
+    catches lines holding just that one point. All of it is integer
+    arithmetic. Sets that span few directions, such as lattice sections,
+    grids and parallel lines, run the pencils (`_pencil_count`), which store
+    no pair; sets that span about one direction per pair, such as random
+    sets, run the pair table (`_pair_count`). `_count` picks one.
     """
     area = _check_area(area)
     pts, _, scale = integer_points(points)
-    return _probe_pencils(pts, _bases_by_direction(pts, area, scale))
+    twice = _twice_area(area, scale)
+    return 0 if twice is None else _count(pts, twice)
 
 
 def _census(points: Sequence[Point], k: int, area: Fraction) -> tuple[int, _incidence.IncidenceStats]:
-    """count_pairline and incidence_stats of one set, from one pass over its pairs.
+    """count_pairline and incidence_stats of one set, from one pass.
 
-    A direction with a base gets a pencil for the count anyway, and that
-    pencil's values are the member counts of all its lines. The lines of a
-    direction without a base come from the values of its own pairs, so no
-    direction costs more than it did in the two separate passes. When no base
-    can exist the count is 0 and only the statistics are computed.
+    The pencils that count the triangles are also the lines of their
+    direction, with their member counts. `_count` picks the branch as
+    count_pairline does: the pencils give every spanned direction one, and
+    the pair table reads the lines of a direction without a base off the
+    values of its own pairs. `stats_from_sizes` checks that the lines hold
+    all C(n, 2) pairs, so no direction was missed. When no base can exist
+    the count is 0 and only the line statistics are computed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     pts, _, scale = integer_points(points)
-    if _twice_area(area, scale) is None:
+    twice = _twice_area(area, scale)
+    if twice is None:
         return 0, _incidence.stats_from_sizes(len(pts), k, _incidence.line_sizes(pts))
-    others: dict[tuple[int, int], list[int]] = {}
-    by_direction = _bases_by_direction(pts, area, scale, others=others)
     sizes: Counter = Counter()
-    count = _probe_pencils(pts, by_direction, sizes, others)
-    for direction, values in others.items():
-        if direction not in by_direction:
-            for pairs in Counter(values).values():
-                sizes[_incidence.members_from_pairs(pairs)] += 1
+    count = _count(pts, twice, sizes)
     return count, _incidence.stats_from_sizes(len(pts), k, sizes)
 
 
@@ -239,7 +349,7 @@ def tally_by_richness(
     pts, originals, scale = integer_points(points)
     limit = 2 * (k - 1)
     rich_top_lines: dict[tuple[int, int, int], int] = {}
-    for (p, q), bases in _bases_by_direction(pts, area, scale, True).items():
+    for (p, q), bases in _bases_by_direction(pts, _twice_area(area, scale), True).items():
         pencil: dict[int, list[int]] = {}
         for r, (x, y) in enumerate(pts):
             pencil.setdefault(p * y - q * x, []).append(r)

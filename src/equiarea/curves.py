@@ -721,7 +721,7 @@ def _sheared_incidences(points: Iterable[tuple[int, int]]) -> tuple[list[tuple[t
     j = shear_denominator(pts)
     d, e = (j, 1) if j else (1, 0)
     sheared = sorted((d * x + e * y, d * y) for x, y in pts)
-    return [(key, point) for _, key, members in ordered_table(sheared, 2, d) for point in members], d
+    return [(key, point) for key, members in ordered_table(sheared, 2, d) for point in members], d
 
 
 def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
@@ -759,6 +759,8 @@ def _scan_chunk(kind: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
 def _run_scan(kind: str, trials: int, seed: int, threads: int) -> ScanReport:
     if trials < 0:
         raise ValueError("trials must be non-negative")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     if threads <= 1 or trials <= 1:
         chunks = [_scan_chunk(kind, seed, 0, trials)]
     else:

@@ -2,9 +2,10 @@
 
 All of it runs on the integer line kernel `pair_lines` and the line table
 `rich_table` that counting, matching and curves share. `ordered_table` sorts
-the rich lines once by canonical `Line`, the order every line and incidence
-list here follows, and `incidence_param` builds an incidence pair straight
-from a line key and an integer point.
+the rich lines once by canonical `Line`, compared as the integer triple
+`key_triple`: the order every line and incidence list here follows.
+`incidence_param` builds an incidence pair straight from a line key and an
+integer point.
 """
 
 from __future__ import annotations
@@ -55,6 +56,21 @@ def key_line(key: tuple[int, int, int], scale: int) -> Line:
     return Line(-q * scale, p * scale, -c)
 
 
+def key_triple(key: tuple[int, int, int], scale: int) -> tuple[int, int, int]:
+    """(A, B, C) of `key_line(key, scale)`, without building the Line.
+
+    (p, q) is primitive, so the gcd of (-q*scale, p*scale, -c) is
+    gcd(scale, c); the sign is flipped when q > 0, which leaves A >= 0, and
+    B = p*scale/t > 0 when A = 0.
+    """
+    p, q, c = key
+    t = math.gcd(scale, c)
+    unit = scale // t
+    if q > 0:
+        return q * unit, -p * unit, c // t
+    return -q * unit, p * unit, -c // t
+
+
 def members_from_pairs(pairs: int) -> int:
     """The m with C(m, 2) = pairs: a line with m members holds that many pairs."""
     m = (1 + math.isqrt(1 + 8 * pairs)) // 2
@@ -79,10 +95,11 @@ def rich_table(pts: Sequence[tuple[int, int]], k: int) -> dict[tuple[int, int, i
     return {key: [pts[i] for i in members] for key, members in table.items() if len(members) >= k}
 
 
-def ordered_table(pts: Sequence[tuple[int, int]], k: int, scale: int) -> list[tuple[Line, tuple, list]]:
-    """`rich_table` as (`key_line`, key, members), sorted by the canonical
-    Line: the order of every line and incidence list here."""
-    return sorted((key_line(key, scale), key, members) for key, members in rich_table(pts, k).items())
+def ordered_table(pts: Sequence[tuple[int, int]], k: int, scale: int) -> list[tuple[tuple, list]]:
+    """`rich_table` as (key, members), sorted by the canonical Line of the
+    key, compared as its `key_triple`: the order of every line and incidence
+    list here."""
+    return sorted(rich_table(pts, k).items(), key=lambda item: key_triple(item[0], scale))
 
 
 def incidence_param(key: tuple[int, int, int], point: tuple[int, int], scale: int) -> IncidencePairParam:
@@ -105,7 +122,7 @@ def rich_lines(points: Sequence[Point], k: int) -> list[SpannedLine]:
     """Spanned lines holding at least k points."""
     pts, originals, scale = integer_points(points)
     original = dict(zip(pts, originals))
-    return [SpannedLine(line, tuple(map(original.get, on))) for line, _, on in ordered_table(pts, k, scale)]
+    return [SpannedLine(key_line(key, scale), tuple(map(original.get, on))) for key, on in ordered_table(pts, k, scale)]
 
 
 def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]:
@@ -115,7 +132,7 @@ def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]
     any spanned line is vertical.
     """
     pts, _, scale = integer_points(points)
-    return [incidence_param(key, point, scale) for _, key, on in ordered_table(pts, k, scale) for point in on]
+    return [incidence_param(key, point, scale) for key, on in ordered_table(pts, k, scale) for point in on]
 
 
 @dataclass(frozen=True)

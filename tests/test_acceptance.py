@@ -8,6 +8,7 @@ counts are pinned here; nothing is deferred to later calibration.
 import io
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 from equiarea.counting import (
@@ -209,7 +210,27 @@ def test_criterion_08_lattice_trend():
     assert all(a <= b for a, b in zip(ratios, ratios[1:])), ratios
     elapsed = time.perf_counter() - started
     assert elapsed < 120, f"lattice sweep took {elapsed:.1f}s"
+    # The default sweep's rows, pinned: (n, count, m, N).
+    assert [(r.n, r.count, r.m, r.N) for r in rows] == [
+        (100, 5442, 2247, 5132),
+        (200, 21977, 8914, 20233),
+        (400, 88442, 35647, 80532),
+        (800, 354577, 142314, 320933),
+    ]
     _report(8, "lattice count/n^2 non-decreasing over n = 100..800")
+
+
+def test_criterion_08_lattice_count_stores_no_pair_table():
+    # A table of the C(400, 2) = 79 800 point pairs alone takes several MiB.
+    points = gen_lattice_section(400)
+    tracemalloc.start()
+    try:
+        count = count_pairline(points, F(1, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 88442
+    assert peak < 2**20, f"count_pairline peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_criterion_09_incidence_bound_and_ratios():

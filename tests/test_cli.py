@@ -220,6 +220,12 @@ class TestScans:
             _, parallel, _ = run(capsys, scan, "--trials", "6", "--seed", "1", "--threads", "2")
             assert serial == parallel
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("scan", ["bezout", "k310-scan"])
+    def test_threads_below_one_exit_two(self, capsys, scan, threads):
+        code, out, err = run(capsys, scan, "--trials", "3", "--threads", threads)
+        assert code == 2 and out == "" and "threads must be at least 1" in err
+
 
 class TestScaling:
     def test_csv_shape(self, capsys):

@@ -5,8 +5,9 @@ shares none of its code: `count_brute` for `count_pairline`, a
 `line_through`/Fraction member count for the integer line keys, and the
 O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
 `tally_by_richness`, both of the first two for the scaling experiment's
-one-pass census, and the O(N^2) Fraction scan over sheared incidence pairs
-for the integer matching probe and join. The input families are rational
+one-pass census and for each of its two branches (the pencils and the pair
+table), and the O(N^2) Fraction scan over sheared incidence pairs for the
+integer matching probe and join. The input families are rational
 coordinates with mixed denominators, coordinates above 2^64, sets with
 vertical lines, and collinear-heavy sets. Examples are derandomized, so every
 run draws the same inputs.
@@ -14,6 +15,7 @@ run draws the same inputs.
 
 import math
 from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -21,13 +23,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from equiarea import counting
 from equiarea.counting import (
     RichnessTally,
     _census,
+    _pair_count,
+    _pencil_count,
+    _twice_area,
     count_brute,
     count_pairline,
     fixed_area_triangles,
+    gen_grid,
     gen_lattice_section,
+    gen_parallel_lines,
+    gen_random,
     matching_count,
     tally_by_richness,
 )
@@ -45,6 +54,8 @@ from equiarea.incidence import (
     incidence_pairs,
     incidence_stats,
     key_line,
+    key_triple,
+    line_sizes,
     members_from_pairs,
     ordered_table,
     pair_lines,
@@ -206,6 +217,28 @@ class TestAgainstOracles:
 
         check()
 
+    def test_both_census_branches_equal_brute_and_fraction_lines(self, family):
+        """The pencils and the pair table, called directly, whichever the
+        dispatch would pick, with and without the line sizes."""
+
+        @ORACLES
+        @given(FAMILIES[family])
+        def check(points):
+            expected_sizes = Counter(oracle_member_counts(points).values())
+            pts, _, scale = integer_points(points)
+            for area in _areas_to_check(points, CENSUS_AREAS[0]) | set(CENSUS_AREAS):
+                expected = count_brute(points, area)
+                twice = _twice_area(area, scale)
+                if twice is None:
+                    assert expected == 0
+                    continue
+                for branch in (_pencil_count, _pair_count):
+                    sizes = Counter()
+                    assert branch(pts, twice) == branch(pts, twice, sizes) == expected
+                    assert sizes == expected_sizes
+
+        check()
+
     def test_tally_equals_cubic_enumeration(self, family):
         @ORACLES
         @given(FAMILIES[family], AREAS, st.sampled_from((F(0), F(1, 2), F(-2, 3))))
@@ -258,10 +291,69 @@ def test_one_line_gets_one_key(family):
         pts, _, scale = integer_points(sheared)
         lines, in_s, cleared = pair_incidences(incidence_pairs(sheared, k), sheared)
         assert (in_s, cleared) == (set(pts), scale)
-        assert list(lines.items()) == [(key, members) for _, key, members in ordered_table(pts, k, scale)]
+        assert list(lines.items()) == ordered_table(pts, k, scale)
         assert lines == rich_table(pts, k)
 
     check()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ordered_table_sorts_by_the_canonical_line(family):
+    @ORACLES
+    @given(FAMILIES[family], st.integers(2, 3))
+    def check(points, k):
+        pts, _, scale = integer_points(points)
+        table = ordered_table(pts, k, scale)
+        lines = [key_line(key, scale) for key, _ in table]
+        assert lines == sorted(lines) and len(table) == len(rich_table(pts, k))
+        assert [key_triple(key, scale) for key, _ in table] == list(map(astuple, lines))
+
+    check()
+
+
+LARGER_SETS = {
+    "lattice 150": gen_lattice_section(150),
+    "grid 12x12": gen_grid(12, 12),
+    "parallel 3x50": gen_parallel_lines(3, 50, 1),
+    "random 120 seed 1": gen_random(120, 8, 1),
+    "random 120 seed 2": gen_random(120, 8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_SETS))
+def test_census_branches_agree_on_larger_sets(name):
+    """Both branches, with and without line sizes, on the set and on copies
+    moved by a negative and by a huge offset, which change no count."""
+    counts = {}
+    for dx, dy in ((0, 0), (-37, -1000), (BIG, -(BIG**2))):
+        pts, _, scale = integer_points([Point(p.x + dx, p.y + dy) for p in LARGER_SETS[name]])
+        expected_sizes = line_sizes(pts)
+        for area in (F(1, 2), F(1), F(3, 2)):
+            twice = _twice_area(area, scale)
+            for branch in (_pencil_count, _pair_count):
+                sizes = Counter()
+                counts.setdefault(area, set()).update((branch(pts, twice), branch(pts, twice, sizes)))
+                assert sizes == expected_sizes
+    assert all(len(found) == 1 for found in counts.values()), counts
+
+
+@pytest.mark.parametrize(
+    "name, points, pencils",
+    [
+        ("lattice", gen_lattice_section(200), True),
+        ("grid", gen_grid(14, 14), True),
+        ("parallel", gen_parallel_lines(3, 60, 1), True),
+        ("random, scaling bound", gen_random(200, 30, 1), False),
+        ("random, dense", gen_random(120, 8, 1), False),
+    ],
+)
+def test_dispatch_sends_structured_sets_to_the_pencils(monkeypatch, name, points, pencils):
+    pair_calls = []
+    pair_count = counting._pair_count
+    monkeypatch.setattr(counting, "_pair_count", lambda *args: pair_calls.append(args) or pair_count(*args))
+    for area in (F(1, 2), F(1)):
+        assert _census(points, 2, area)[0] == count_pairline(points, area)
+    assert len(pair_calls) == (0 if pencils else 4)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -279,6 +371,7 @@ def test_key_line_is_the_canonical_line():
     [(_, _, key)] = list(pair_lines(pts[:2]))
     assert scale == 6
     assert key_line(key, scale) == line_through(points[0], points[1]) == Line(2, 3, -2)
+    assert key_triple(key, scale) == (2, 3, -2)
 
 
 def test_non_triangular_pair_count_raises():
