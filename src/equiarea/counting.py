@@ -145,11 +145,12 @@ def _pair_count(pts, twice: int, sizes: Counter | None = None) -> int:
     return _triangles(total)
 
 
-#: The pencils run when n * (the sum over their directions of 1 + steps) is
-#: at most this many times C(n, 2). That ratio is 4.0-5.4 on lattice
-#: sections, grids and parallel lines, and 67-83 on the scaling experiment's
-#: random sets; the two branches take about equal time near 10-20, on
-#: denser random sets.
+#: On sets of more than n^(1/3) row runs, the pencils run when n * (the sum
+#: over their directions of 1 + steps) is at most this many times C(n, 2).
+#: That ratio is 4.0-5.4 on grids, and 67-83 on the scaling experiment's
+#: random sets; the pencils and the pair table take about equal time near
+#: 10-20, on denser random sets. Lattice sections and parallel lines have
+#: r^3 <= n and run the row runs.
 PENCIL_COST_LIMIT = 8
 
 
@@ -233,8 +234,99 @@ def _pencil_count(pts, twice: int, sizes: Counter | None = None, limit: int | No
     return _triangles(total)
 
 
-def _count(pts, twice: int, sizes: Counter | None = None) -> int:
-    """The pencils when their plan is within PENCIL_COST_LIMIT, else the pair table."""
+def _row_runs(pts) -> list[list[int]]:
+    """The maximal horizontal runs [y, x0, x1] of consecutive x, ascending by (y, x0)."""
+    runs: list[list[int]] = []
+    for y, x in sorted((y, x) for x, y in pts):
+        if runs and runs[-1][0] == y and runs[-1][2] == x - 1:
+            runs[-1][2] = x
+        else:
+            runs.append([y, x, x])
+    return runs
+
+
+def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
+    """The row runs: every base, third vertex and line from the r runs, with
+    no per-point pencil and no stored pair.
+
+    A base a -> a + g*(p, q), canonical as q > 0 or q = 0 < p, runs from run
+    i to run j with y_j = y_i + g*q; over one step dx = g*p its starts x_a
+    form one interval I. Its value p*y - q*x moves by +-t, t = twice / g, at
+    a third vertex, which on run k sits at x_a + delta for
+    q*delta = p*(y_k - y_i) -+ t, so run k adds |I meet [x0_k, x1_k] - delta|
+    when q divides that. A horizontal base adds |I| times the row sizes at
+    y +- t. With `sizes`, each line through 2 or more points is tallied
+    there by member count: a row is one line, and a sloped line meets a run
+    at most once, while run k's values p*y_k - q*x step by q. So within each
+    residue mod q a sweep over the runs' ends gives the member counts. A
+    difference (dx, dy) meets at most r^2 run pairs and r third runs each,
+    so that is O(|D| * r^3) time for D the distinct differences, and
+    O(r + |D|) memory. With `twice` None only the sizes are filled, and the
+    count is 0.
+    """
+    gcd = math.gcd
+    # Runs grouped by row, so that a third row's delta is found once.
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for y, x0, x1 in runs:
+        by_row.setdefault(y, []).append((x0, x1))
+    rows = {y: sum(x1 - x0 + 1 for x0, x1 in spans) for y, spans in by_row.items()}
+    directions: set[tuple[int, int]] = set()
+    total = 0
+    for i, (yi, a0, a1) in enumerate(runs):
+        for yj, b0, b1 in runs[i:]:
+            dy = yj - yi
+            # Every step dx from a point of run i to one of run j; a row keeps dx > 0.
+            for dx in range(b0 - a1 if dy else max(1, b0 - a1), b1 - a0 + 1):
+                g = gcd(dx, dy)
+                p, q = dx // g, dy // g
+                if sizes is not None and q:
+                    directions.add((p, q))
+                if twice is None or twice % g:
+                    continue
+                t = twice // g
+                lo, hi = max(a0, b0 - dx), min(a1, b1 - dx)
+                if not q:
+                    total += (hi - lo + 1) * (rows.get(yi + t, 0) + rows.get(yi - t, 0))
+                    continue
+                for yk, spans in by_row.items():
+                    rise = p * (yk - yi)
+                    for shifted in (rise - t, rise + t):
+                        delta, rem = divmod(shifted, q)
+                        if not rem:
+                            for c0, c1 in spans:
+                                overlap = min(hi, c1 - delta) - max(lo, c0 - delta)
+                                if overlap >= 0:
+                                    total += overlap + 1
+    if sizes is not None:
+        sizes.update(members for members in rows.values() if members > 1)
+        for p, q in directions:
+            residues: dict[int, list[tuple[int, int]]] = {}
+            for yk, x0, x1 in runs:
+                # Run k holds the values residue + q*m for m in [base - x1, base - x0].
+                base, residue = divmod(p * yk, q)
+                residues.setdefault(residue, []).append((base - x1, base - x0))
+            for ends in residues.values():
+                if len(ends) > 1:
+                    events = sorted([(start, 1) for start, _ in ends] + [(end + 1, -1) for _, end in ends])
+                    depth = 0
+                    for (at, step), (following, _) in zip(events, events[1:]):
+                        depth += step
+                        if depth > 1 and following > at:
+                            sizes[depth] += following - at
+    return 0 if twice is None else _triangles(total)
+
+
+def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
+    """The row runs, in O(|D| * r^3), when the r row runs have r^3 <= n; else
+    the pencils, in O(n * |D|), when their plan is within PENCIL_COST_LIMIT;
+    else the pair table. D is the set of distinct differences. With `twice`
+    None no base exists: the count is 0 and only `sizes` is filled."""
+    runs = _row_runs(pts)
+    if len(runs) ** 3 <= len(pts):
+        return _run_count(runs, twice, sizes)
+    if twice is None:
+        sizes.update(_incidence.line_sizes(pts))
+        return 0
     count = _pencil_count(pts, twice, sizes, PENCIL_COST_LIMIT)
     return _pair_count(pts, twice, sizes) if count is None else count
 
@@ -247,10 +339,13 @@ def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
     through a point is keyed by the linear functional p*y - q*x of the
     primitive direction (p, q), so each lookup is a hash probe that also
     catches lines holding just that one point. All of it is integer
-    arithmetic. Sets that span few directions, such as lattice sections,
-    grids and parallel lines, run the pencils (`_pencil_count`), which store
-    no pair; sets that span about one direction per pair, such as random
-    sets, run the pair table (`_pair_count`). `_count` picks one.
+    arithmetic, on one of three branches that `_count` picks. Sets of r
+    maximal row runs with r^3 <= n, such as lattice sections and parallel
+    lines, run the row runs (`_run_count`), in O(|D| * r^3) for D the
+    distinct differences. Other sets that span few directions, such as grids,
+    run the pencils (`_pencil_count`), in O(n * |D|); neither stores a pair.
+    Sets that span about one direction per pair, such as random sets, run
+    the pair table (`_pair_count`).
     """
     area = _check_area(area)
     pts, _, scale = integer_points(points)
@@ -261,22 +356,21 @@ def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
 def _census(points: Sequence[Point], k: int, area: Fraction) -> tuple[int, _incidence.IncidenceStats]:
     """count_pairline and incidence_stats of one set, from one pass.
 
-    The pencils that count the triangles are also the lines of their
-    direction, with their member counts. `_count` picks the branch as
-    count_pairline does: the pencils give every spanned direction one, and
-    the pair table reads the lines of a direction without a base off the
-    values of its own pairs. `stats_from_sizes` checks that the lines hold
-    all C(n, 2) pairs, so no direction was missed. When no base can exist
-    the count is 0 and only the line statistics are computed.
+    `_count` picks the branch as count_pairline does, and each branch also
+    tallies the lines through 2 or more points by member count: the row
+    runs sweep each spanned direction's run values, the pencils give every
+    spanned direction one, and the pair table reads the lines of a
+    direction without a base off the values of its own pairs.
+    `stats_from_sizes` checks that the lines hold all C(n, 2) pairs, so no
+    direction was missed. When no base can exist the count is 0 and only
+    the line sizes are computed: by the row runs when they would run, else
+    by `incidence.line_sizes`.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     pts, _, scale = integer_points(points)
-    twice = _twice_area(area, scale)
-    if twice is None:
-        return 0, _incidence.stats_from_sizes(len(pts), k, _incidence.line_sizes(pts))
     sizes: Counter = Counter()
-    count = _count(pts, twice, sizes)
+    count = _count(pts, _twice_area(area, scale), sizes)
     return count, _incidence.stats_from_sizes(len(pts), k, sizes)
 
 

@@ -233,6 +233,16 @@ def test_criterion_08_lattice_count_stores_no_pair_table():
     assert peak < 2**20, f"count_pairline peaked at {peak / 2**20:.2f} MiB"
 
 
+def test_criterion_08_wide_lattice_row():
+    # The pencils take about 15-18 s here; the row runs well under one.
+    points = gen_lattice_section(6400)
+    started = time.perf_counter()
+    count = count_pairline(points, F(1, 2))
+    elapsed = time.perf_counter() - started
+    assert count == 23883732
+    assert elapsed < 5, f"count_pairline took {elapsed:.1f}s"
+
+
 def test_criterion_09_incidence_bound_and_ratios():
     import math
 

@@ -1,6 +1,7 @@
 """Counters, tallies, the matching identity, generators, experiments."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from equiarea.counting import (
     RichnessTally,
     Unsatisfiable,
     ZeroArea,
+    _census,
     _generate,
     count_brute,
     count_pairline,
@@ -114,6 +116,18 @@ class TestNoBaseShortcut:
             assert tally_by_richness(pts, 2, area).total == count
         assert count_brute(sets[0], area) == count_brute(sets[1], area) == 0
         assert count_brute(sets[2], area) > 0
+
+    def test_lattice_census_sizes_lines_without_a_table(self):
+        # Keying a Counter by each of the lattice's spanned lines peaks at about 16 MiB.
+        points = gen_lattice_section(800)
+        tracemalloc.start()
+        try:
+            count, stats = _census(points, 2, F(1, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 0 and stats == incidence_stats(points, 2)
+        assert peak < 2**20, f"the census peaked at {peak / 2**20:.2f} MiB"
 
     def test_duplicates_still_raise(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 0)]

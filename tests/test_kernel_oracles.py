@@ -5,12 +5,12 @@ shares none of its code: `count_brute` for `count_pairline`, a
 `line_through`/Fraction member count for the integer line keys, and the
 O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
 `tally_by_richness`, both of the first two for the scaling experiment's
-one-pass census and for each of its two branches (the pencils and the pair
-table), and the O(N^2) Fraction scan over sheared incidence pairs for the
-integer matching probe and join. The input families are rational
-coordinates with mixed denominators, coordinates above 2^64, sets with
-vertical lines, and collinear-heavy sets. Examples are derandomized, so every
-run draws the same inputs.
+one-pass census and for each of its three branches (the row runs, the
+pencils and the pair table), and the O(N^2) Fraction scan over sheared
+incidence pairs for the integer matching probe and join. The input families
+are rational coordinates with mixed denominators, coordinates above 2^64,
+sets with vertical lines, collinear-heavy sets, and few rows of runs with
+gaps. Examples are derandomized, so every run draws the same inputs.
 """
 
 import math
@@ -29,6 +29,8 @@ from equiarea.counting import (
     _census,
     _pair_count,
     _pencil_count,
+    _row_runs,
+    _run_count,
     _twice_area,
     count_brute,
     count_pairline,
@@ -106,6 +108,24 @@ COLLINEAR = st.tuples(
 ).map(lambda drawn: shear(*drawn))
 
 FAMILIES = {"rational": RATIONAL, "huge": HUGE, "vertical": VERTICAL, "collinear": COLLINEAR}
+
+
+@st.composite
+def _row_sets(draw):
+    """2-4 rows, not always adjacent, of 1-3 runs each, split by gaps; up to
+    40 points. Runs of 5 or more points let r^3 <= n hold often, so that
+    the dispatch itself picks the row runs; shorter runs are in VERTICAL."""
+    points = []
+    for y in draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True)):
+        x = draw(_small)
+        for _ in range(draw(st.integers(1, 3))):
+            length = draw(st.integers(5, 16))
+            points += [Point(x + step, y) for step in range(length)]
+            x += length + draw(st.integers(1, 4))
+    return points[:40]
+
+
+ROWS = _row_sets()
 AREAS = st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(1, 3), F(5, 6), F(1, 12)))
 # The matching oracle is quadratic in the incidences, so its sets stay small.
 MATCHING_FAMILIES = {name: family.map(lambda pts: pts[:8]) for name, family in FAMILIES.items()}
@@ -173,6 +193,14 @@ def oracle_matching_pairs(pairs, area, require_q_in_s, points):
     return count
 
 
+def _runs(pts, twice, sizes=None):
+    """The row runs branch, with the signature of the other two."""
+    return _run_count(_row_runs(pts), twice, sizes)
+
+
+BRANCHES = (_runs, _pencil_count, _pair_count)
+
+
 def kernel_member_counts(points):
     pts, _, scale = integer_points(points)
     pair_counts = Counter(key for _, _, key in pair_lines(pts))
@@ -218,8 +246,9 @@ class TestAgainstOracles:
         check()
 
     def test_both_census_branches_equal_brute_and_fraction_lines(self, family):
-        """The pencils and the pair table, called directly, whichever the
-        dispatch would pick, with and without the line sizes."""
+        """The row runs, the pencils and the pair table, called directly,
+        whichever the dispatch would pick, with and without the line sizes.
+        With no base, the row runs still size the lines."""
 
         @ORACLES
         @given(FAMILIES[family])
@@ -230,9 +259,11 @@ class TestAgainstOracles:
                 expected = count_brute(points, area)
                 twice = _twice_area(area, scale)
                 if twice is None:
-                    assert expected == 0
+                    sizes = Counter()
+                    assert expected == 0 == _runs(pts, None, sizes)
+                    assert sizes == expected_sizes
                     continue
-                for branch in (_pencil_count, _pair_count):
+                for branch in BRANCHES:
                     sizes = Counter()
                     assert branch(pts, twice) == branch(pts, twice, sizes) == expected
                     assert sizes == expected_sizes
@@ -322,38 +353,86 @@ LARGER_SETS = {
 
 @pytest.mark.parametrize("name", sorted(LARGER_SETS))
 def test_census_branches_agree_on_larger_sets(name):
-    """Both branches, with and without line sizes, on the set and on copies
-    moved by a negative and by a huge offset, which change no count."""
+    """All three branches, with and without line sizes, on the set and on
+    copies moved by a negative and by a huge offset, which change no count."""
     counts = {}
     for dx, dy in ((0, 0), (-37, -1000), (BIG, -(BIG**2))):
         pts, _, scale = integer_points([Point(p.x + dx, p.y + dy) for p in LARGER_SETS[name]])
         expected_sizes = line_sizes(pts)
         for area in (F(1, 2), F(1), F(3, 2)):
             twice = _twice_area(area, scale)
-            for branch in (_pencil_count, _pair_count):
+            for branch in BRANCHES:
                 sizes = Counter()
                 counts.setdefault(area, set()).update((branch(pts, twice), branch(pts, twice, sizes)))
                 assert sizes == expected_sizes
     assert all(len(found) == 1 for found in counts.values()), counts
 
 
+def test_row_runs_equal_the_pencils_on_a_wide_lattice_section():
+    pts, _, scale = integer_points(gen_lattice_section(1600))
+    expected_sizes = line_sizes(pts)
+    for area in (F(1, 2), F(1), F(3, 2)):
+        twice = _twice_area(area, scale)
+        run_sizes, pencil_sizes = Counter(), Counter()
+        assert _runs(pts, twice, run_sizes) == _pencil_count(pts, twice, pencil_sizes) > 0
+        assert run_sizes == pencil_sizes == expected_sizes
+
+
+def test_row_sets_with_gaps_equal_brute_and_fraction_lines(monkeypatch):
+    """Few rows of runs, through the dispatch and through the row runs
+    called directly, against `count_brute` and the Fraction lines."""
+    dispatched = []
+    run_count = counting._run_count
+    monkeypatch.setattr(counting, "_run_count", lambda *args: dispatched.append(args) or run_count(*args))
+    reached = []
+
+    @ORACLES
+    @given(ROWS, st.integers(2, 4))
+    def check(points, k):
+        dispatched.clear()
+        member_counts = oracle_member_counts(points)
+        rich = [m for m in member_counts.values() if m >= k]
+        pts, _, scale = integer_points(points)
+        for area in _areas_to_check(points, CENSUS_AREAS[0]) | set(CENSUS_AREAS):
+            expected = count_brute(points, area)
+            count, stats = _census(points, k, area)
+            assert (count, stats.m, stats.N) == (expected, len(rich), sum(rich))
+            assert count_pairline(points, area) == expected
+            sizes = Counter()
+            twice = _twice_area(area, scale)
+            assert _runs(pts, twice) == _runs(pts, twice, sizes) == expected
+            assert sizes == Counter(member_counts.values())
+        reached.append(bool(dispatched))
+
+    check()
+    assert sum(reached) >= 30, f"the dispatch picked the row runs on {sum(reached)} of {len(reached)} sets"
+
+
 @pytest.mark.parametrize(
-    "name, points, pencils",
+    "name, points, branch",
     [
-        ("lattice", gen_lattice_section(200), True),
-        ("grid", gen_grid(14, 14), True),
-        ("parallel", gen_parallel_lines(3, 60, 1), True),
-        ("random, scaling bound", gen_random(200, 30, 1), False),
-        ("random, dense", gen_random(120, 8, 1), False),
+        ("lattice", gen_lattice_section(200), "runs"),
+        ("grid", gen_grid(14, 14), "pencils"),
+        ("parallel", gen_parallel_lines(3, 60, 1), "runs"),
+        ("random, scaling bound", gen_random(200, 30, 1), "pair table"),
+        ("random, dense", gen_random(120, 8, 1), "pair table"),
     ],
 )
-def test_dispatch_sends_structured_sets_to_the_pencils(monkeypatch, name, points, pencils):
-    pair_calls = []
-    pair_count = counting._pair_count
-    monkeypatch.setattr(counting, "_pair_count", lambda *args: pair_calls.append(args) or pair_count(*args))
+def test_dispatch_picks_one_branch_per_set(monkeypatch, name, points, branch):
+    """The branch that answers each count; the pencils answer None when over their limit."""
+    answered = []
+    for attr, label in (("_run_count", "runs"), ("_pencil_count", "pencils"), ("_pair_count", "pair table")):
+
+        def spy(*args, _kernel=getattr(counting, attr), _label=label):
+            count = _kernel(*args)
+            if count is not None:
+                answered.append(_label)
+            return count
+
+        monkeypatch.setattr(counting, attr, spy)
     for area in (F(1, 2), F(1)):
         assert _census(points, 2, area)[0] == count_pairline(points, area)
-    assert len(pair_calls) == (0 if pencils else 4)
+    assert answered == [branch] * 4
 
 
 @pytest.mark.parametrize("k", [2, 3])
