@@ -21,7 +21,9 @@ class PointFileError(Exception):
 
 
 def parse_points(lines: Iterable[str], source: str = "<input>") -> list[Point]:
-    points: list[Point] = []
+    """The points of the lines, in order; a point met twice, by exact value,
+    raises PointFileError at the repeat, naming the line it first came on."""
+    first_line: dict[Point, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -34,8 +36,10 @@ def parse_points(lines: Iterable[str], source: str = "<input>") -> list[Point]:
             y = parse_rational(tokens[1])
         except ValueError as exc:
             raise PointFileError(source, lineno, str(exc)) from exc
-        points.append(Point(x, y))
-    return points
+        first = first_line.setdefault(Point(x, y), lineno)
+        if first != lineno:
+            raise PointFileError(source, lineno, f"point {tokens[0]} {tokens[1]} repeats line {first}")
+    return list(first_line)
 
 
 def read_text(path: str | Path) -> str:

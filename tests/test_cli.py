@@ -274,6 +274,19 @@ class TestErrorPaths:
         assert ":3:" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["count", "--area", "1"], ["stats"], ["rich-lines"], ["matching"], ["tally"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_repeated_point_cites_line(self, capsys, tmp_path, argv):
+        # 2/4 and 1/2 are one value, so line 3 repeats line 1.
+        path = tmp_path / "dup.txt"
+        path.write_text("1/2 0\n1 1\n2/4 0\n")
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"{path}:3: point 2/4 0 repeats line 1\n"
+
+    @pytest.mark.parametrize(
         "data, lineno",
         [(b"0 0\n1 \xff\n2 2\n", 2), (b"0 0\r\n1 1\r\n\xfe 2\r\n", 3), (b"0 0\r1 1\r2 \xc3\n", 3)],
         ids=["lf", "crlf", "cr"],

@@ -12,7 +12,6 @@ from equiarea.counting import (
     RichnessTally,
     Unsatisfiable,
     ZeroArea,
-    _census,
     _generate,
     count_brute,
     count_pairline,
@@ -28,8 +27,8 @@ from equiarea.counting import (
     scaling_experiment,
     tally_by_richness,
 )
-from equiarea.geometry import DuplicatePoints, Point, shear, signed_area2
-from equiarea.incidence import incidence_stats
+from equiarea.geometry import DuplicatePoints, Point, integer_points, shear, signed_area2
+from equiarea.incidence import census, incidence_stats, line_sizes, stats_from_sizes
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
 FIVE = [Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 2), Point(1, 2)]
@@ -120,14 +119,18 @@ class TestNoBaseShortcut:
     def test_lattice_census_sizes_lines_without_a_table(self):
         # Keying a Counter by each of the lattice's spanned lines peaks at about 16 MiB.
         points = gen_lattice_section(800)
-        tracemalloc.start()
-        try:
-            count, stats = _census(points, 2, F(1, 3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert count == 0 and stats == incidence_stats(points, 2)
-        assert peak < 2**20, f"the census peaked at {peak / 2**20:.2f} MiB"
+        pts, _, _ = integer_points(points)
+        expected = stats_from_sizes(len(pts), 2, line_sizes(pts))
+        for name, run in (("census", lambda: census(points, 2, F(1, 3))),
+                          ("incidence_stats", lambda: (0, incidence_stats(points, 2)))):
+            tracemalloc.start()
+            try:
+                count, stats = run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert count == 0 and stats == expected
+            assert peak < 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"
 
     def test_duplicates_still_raise(self):
         pts = [Point(0, 0), Point(1, 0), Point(0, 0)]
@@ -307,8 +310,9 @@ class TestScalingExperiment:
             for area in (None, F(1, 3), F(3, 2)):
                 for row in scaling_experiment(kind, sizes, k=k, area=area, seed=3):
                     points = _generate(kind, row.n, row.seed + row.n)
-                    stats = incidence_stats(points, k)
-                    assert (row.count, row.m, row.N) == (count_pairline(points, row.area), stats.m, stats.N)
+                    pts, _, _ = integer_points(points)
+                    stats = stats_from_sizes(len(pts), k, line_sizes(pts))
+                    assert (row.count, row.m, row.N) == (count_brute(points, row.area), stats.m, stats.N)
 
     def test_default_areas(self):
         assert default_area("lattice") == F(1, 2)

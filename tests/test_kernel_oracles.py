@@ -23,15 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equiarea import counting
+from equiarea import incidence
 from equiarea.counting import (
     RichnessTally,
-    _census,
-    _pair_count,
-    _pencil_count,
-    _row_runs,
-    _run_count,
-    _twice_area,
     count_brute,
     count_pairline,
     fixed_area_triangles,
@@ -53,6 +47,12 @@ from equiarea.geometry import (
     signed_area2,
 )
 from equiarea.incidence import (
+    _pair_count,
+    _pencil_count,
+    _row_runs,
+    _run_count,
+    _twice_area,
+    census,
     incidence_pairs,
     incidence_stats,
     key_line,
@@ -237,11 +237,12 @@ class TestAgainstOracles:
         @ORACLES
         @given(FAMILIES[family], st.integers(2, 4))
         def check(points, k):
-            rich = [m for m in oracle_member_counts(points).values() if m >= k]
+            member_counts = oracle_member_counts(points)
+            rich = [m for m in member_counts.values() if m >= k]
             for area in _areas_to_check(points, CENSUS_AREAS[0]) | set(CENSUS_AREAS):
-                count, stats = _census(points, k, area)
+                count, stats = census(points, k, area)
                 assert (count, stats.m, stats.N) == (count_brute(points, area), len(rich), sum(rich))
-                assert stats == incidence_stats(points, k)
+                assert stats == stats_from_sizes(len(points), k, Counter(member_counts.values()))
 
         check()
 
@@ -382,8 +383,8 @@ def test_row_sets_with_gaps_equal_brute_and_fraction_lines(monkeypatch):
     """Few rows of runs, through the dispatch and through the row runs
     called directly, against `count_brute` and the Fraction lines."""
     dispatched = []
-    run_count = counting._run_count
-    monkeypatch.setattr(counting, "_run_count", lambda *args: dispatched.append(args) or run_count(*args))
+    run_count = incidence._run_count
+    monkeypatch.setattr(incidence, "_run_count", lambda *args: dispatched.append(args) or run_count(*args))
     reached = []
 
     @ORACLES
@@ -395,7 +396,7 @@ def test_row_sets_with_gaps_equal_brute_and_fraction_lines(monkeypatch):
         pts, _, scale = integer_points(points)
         for area in _areas_to_check(points, CENSUS_AREAS[0]) | set(CENSUS_AREAS):
             expected = count_brute(points, area)
-            count, stats = _census(points, k, area)
+            count, stats = census(points, k, area)
             assert (count, stats.m, stats.N) == (expected, len(rich), sum(rich))
             assert count_pairline(points, area) == expected
             sizes = Counter()
@@ -423,15 +424,15 @@ def test_dispatch_picks_one_branch_per_set(monkeypatch, name, points, branch):
     answered = []
     for attr, label in (("_run_count", "runs"), ("_pencil_count", "pencils"), ("_pair_count", "pair table")):
 
-        def spy(*args, _kernel=getattr(counting, attr), _label=label):
+        def spy(*args, _kernel=getattr(incidence, attr), _label=label):
             count = _kernel(*args)
             if count is not None:
                 answered.append(_label)
             return count
 
-        monkeypatch.setattr(counting, attr, spy)
+        monkeypatch.setattr(incidence, attr, spy)
     for area in (F(1, 2), F(1)):
-        assert _census(points, 2, area)[0] == count_pairline(points, area)
+        assert census(points, 2, area)[0] == count_pairline(points, area)
     assert answered == [branch] * 4
 
 
