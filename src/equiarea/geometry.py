@@ -178,6 +178,13 @@ def check_distinct(points: Sequence) -> None:
         raise DuplicatePoints("point set has repeats")
 
 
+def check_area(area: Fraction | int) -> Fraction:
+    area = Fraction(area)
+    if area <= 0:
+        raise ZeroArea("area must be a positive rational")
+    return area
+
+
 def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, int]], list[Point], int]:
     """Clear denominators once: the points scaled to integer pairs, and L.
 

@@ -1,4 +1,4 @@
-"""Spanned lines, k-rich lines, their incidence pairs, and the line census.
+"""Spanned lines, k-rich lines, their incidence pairs, and every base walk.
 
 The line lists run on the integer line kernel `pair_lines` and the line
 table `rich_table` that counting, matching and curves share. `ordered_table`
@@ -8,6 +8,8 @@ triple `key_triple`: the order every line and incidence list here follows.
 integer point. The census `_count` counts the triangles of one area and
 sizes every spanned line in one pass, on one of three branches;
 `count_pairline`, `census` and `incidence_stats` all run it.
+`tally_by_richness` walks the bases once more, to split the triangles by
+their rich top lines.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .geometry import GeometryError, InvariantViolation, Line, Point, integer_points
+from .geometry import GeometryError, InvariantViolation, Line, Point, check_area, integer_points
 from .matching import IncidencePairParam
 
 
@@ -179,48 +181,15 @@ def stats_from_sizes(n: int, k: int, sizes: Counter) -> IncidenceStats:
     )
 
 
-def _twice_area(area: Fraction, scale: int) -> int | None:
+def _twice_area(area: Fraction | int, scale: int) -> int | None:
     """2*A*scale^2, the integer |cross| of an area-A triangle on the scaled points.
 
     Scaled points are integers, so every cross is one too: when 2*A*scale^2 is
     not an integer, no triangle has area A and no base has an integer offset.
+    A is checked to be positive.
     """
-    twice = 2 * area * scale * scale
+    twice = 2 * check_area(area) * scale * scale
     return twice.numerator if twice.denominator == 1 else None
-
-
-def _bases_by_direction(
-    pts, twice: int | None, with_indices: bool = False, others: dict | None = None
-) -> dict:
-    """Base pairs by primitive direction (p, q), as (value, offset) or (i, j, value, offset).
-
-    This is `pair_lines` inlined, being the pair table's hot loop.
-    A base of step g*(p, q) and key value p*y - q*x spans area A with every
-    point whose value differs by offset = twice / g, for twice = 2*A*scale^2.
-    Values are integers, so a base whose offset is not is dropped; with
-    `others`, its value is appended to others[(p, q)] instead. Empty when
-    twice is None, as no base can exist.
-    """
-    if twice is None:
-        return {}
-    gcd = math.gcd
-    by_direction: dict[tuple[int, int], list] = {}
-    for i, (ax, ay) in enumerate(pts):
-        for j, (bx, by) in enumerate(pts[i + 1 :], i + 1):
-            dx, dy = bx - ax, by - ay
-            g = gcd(dx, dy)
-            offset, rem = divmod(twice, g)
-            if rem and others is None:
-                continue
-            p, q = dx // g, dy // g
-            value = p * ay - q * ax
-            if rem:
-                others.setdefault((p, q), []).append(value)
-            else:
-                by_direction.setdefault((p, q), []).append(
-                    (i, j, value, offset) if with_indices else (value, offset)
-                )
-    return by_direction
 
 
 def _triangles(total: int) -> int:
@@ -231,16 +200,30 @@ def _triangles(total: int) -> int:
 
 def _pair_count(pts, twice: int, sizes: Counter | None = None) -> int:
     """The pair table: every base pair stored by direction, then each base's
-    two parallel lines probed in its direction's pencil.
-
-    About n^2/2 stored entries. With `sizes`, every line through 2 or more
-    points is also tallied there by its member count: a direction with a
-    base has a pencil anyway, and the lines of the other directions come
-    from the values of their own pairs, which `_bases_by_direction` leaves
-    in `others`.
+    two parallel lines probed in its direction's pencil. A base of step
+    g*(p, q) and value p*y - q*x spans area A with every point whose value
+    differs by offset = twice / g; a pair whose offset is no integer is no
+    base. About n^2/2 stored entries. With `sizes`, every line through 2 or
+    more points is also tallied there by its member count: a direction with
+    a base has a pencil anyway, and the lines of the other directions come
+    from the values of their own pairs, kept in `others`.
     """
-    others = None if sizes is None else {}
-    by_direction = _bases_by_direction(pts, twice, others=others)
+    gcd = math.gcd
+    by_direction: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    others: dict[tuple[int, int], list[int]] = {}
+    for i, (ax, ay) in enumerate(pts):
+        for bx, by in pts[i + 1 :]:
+            dx, dy = bx - ax, by - ay
+            g = gcd(dx, dy)
+            offset, rem = divmod(twice, g)
+            if rem and sizes is None:
+                continue
+            p, q = dx // g, dy // g
+            value = p * ay - q * ax
+            if rem:
+                others.setdefault((p, q), []).append(value)
+            else:
+                by_direction.setdefault((p, q), []).append((value, offset))
     n = len(pts)
     total = 0
     for (p, q), bases in by_direction.items():
@@ -455,11 +438,12 @@ def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
     return _pair_count(pts, twice, sizes) if count is None else count
 
 
-def census(points: Sequence[Point], k: int, area: Fraction | None = None) -> tuple[int, IncidenceStats]:
+def census(points: Sequence[Point], k: int, area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
     """The number of area-`area` triangles and the IncidenceStats of one
     set, from one `_count`. With `area` None the count is 0 and only the
-    line sizes are computed. `stats_from_sizes` checks that the lines hold
-    all C(n, 2) pairs, so no direction was missed.
+    line sizes are computed; any other area must be positive.
+    `stats_from_sizes` checks that the lines hold all C(n, 2) pairs, so no
+    direction was missed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -475,3 +459,79 @@ def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
     inspection, never asserted.
     """
     return census(points, k)[1]
+
+
+def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
+    """The number of area-`area` triangles, exactly `counting.count_brute`'s.
+
+    A base's third vertex lies on one of its two parallel lines at the area's
+    offset, found by the key p*y - q*x of the primitive direction (p, q), in
+    integers throughout, on the branch that `_count` picks.
+    """
+    pts, _, scale = integer_points(points)
+    twice = _twice_area(area, scale)
+    return 0 if twice is None else _count(pts, twice)
+
+
+@dataclass(frozen=True, slots=True)
+class RichnessTally:
+    """Fixed-area triangles split by how many of their top lines are k-rich."""
+
+    T0: int
+    T1: int
+    T2: int
+    T3: int
+
+    @property
+    def total(self) -> int:
+        return self.T0 + self.T1 + self.T2 + self.T3
+
+
+def tally_by_richness(points: Sequence[Point], k: int, area: Fraction | int = 1) -> RichnessTally:
+    """Classify every area-A triangle by its number of k-rich top lines.
+
+    Stores every base (i, j, value, offset) by direction, in O(n^2 + T) for
+    T triangles: a third vertex r found over a base sits in the pencil bucket
+    of r's top line over that base, so the bucket holds that line's members.
+    Each triangle is met once per side, which yields all three top lines.
+
+    Also enforces the assignment bound behind the poor-triangle count: a base
+    pair can own at most 2*(k-1) triangles whose top line over that base is
+    poor, because each of the two candidate parallel lines then holds at most
+    k-1 points.
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    pts, originals, scale = integer_points(points)
+    twice = _twice_area(area, scale)
+    if twice is None:
+        return RichnessTally(0, 0, 0, 0)
+    gcd = math.gcd
+    by_direction: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for i, (ax, ay) in enumerate(pts):
+        for j, (bx, by) in enumerate(pts[i + 1 :], i + 1):
+            dx, dy = bx - ax, by - ay
+            g = gcd(dx, dy)
+            offset, rem = divmod(twice, g)
+            if not rem:
+                p, q = dx // g, dy // g
+                by_direction.setdefault((p, q), []).append((i, j, p * ay - q * ax, offset))
+    limit = 2 * (k - 1)
+    rich_top_lines: dict[tuple[int, int, int], int] = {}
+    for (p, q), bases in by_direction.items():
+        pencil: dict[int, list[int]] = {}
+        for r, (x, y) in enumerate(pts):
+            pencil.setdefault(p * y - q * x, []).append(r)
+        for i, j, value, offset in bases:
+            poor = 0
+            for line in (pencil.get(value + offset, ()), pencil.get(value - offset, ())):
+                rich = len(line) >= k
+                poor += 0 if rich else len(line)
+                for r in line:
+                    triangle = (i, j, r) if r > j else (i, r, j) if r > i else (r, i, j)
+                    rich_top_lines[triangle] = rich_top_lines.get(triangle, 0) + rich
+            if poor > limit:
+                base = (originals[i], originals[j])
+                raise InvariantViolation(f"base {base} was assigned {poor} poor triangles (limit {limit})")
+    buckets = Counter(rich_top_lines.values())
+    return RichnessTally(*(buckets[rich] for rich in range(4)))

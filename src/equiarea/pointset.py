@@ -6,6 +6,7 @@ Format: one point per line as `x y`, each coordinate an integer or `num/den`;
 
 from __future__ import annotations
 
+import codecs
 import io
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,10 +44,12 @@ def parse_points(lines: Iterable[str], source: str = "<input>") -> list[Point]:
 
 
 def read_text(path: str | Path) -> str:
-    """The file decoded as UTF-8, every universal newline read as a line feed;
-    a byte that is not UTF-8 raises PointFileError at its file:line."""
+    """The file decoded as UTF-8 after a leading byte-order mark, every
+    universal newline read as a line feed; a byte that is not UTF-8 raises
+    PointFileError at its file:line."""
     path = Path(path)
-    data = path.read_bytes()
+    # Not decoded as utf-8-sig, whose error offsets would skip the mark's three bytes.
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

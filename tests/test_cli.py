@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +298,43 @@ class TestErrorPaths:
         code, out, err = run(capsys, "count", "--input", str(path), "--area", "1")
         assert code == 2 and out == ""
         assert err.startswith(f"{path}:{lineno}: not UTF-8: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["count", "--area", "1/2"], ["stats"], ["tally", "--area", "1/2"]], ids=lambda argv: argv[0]
+    )
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, argv):
+        plain = write_square(tmp_path)
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        expected = run(capsys, *argv, "--input", plain)
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--input", str(marked)) == expected
+
+    def test_byte_order_mark_keeps_bad_byte_line(self, capsys, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf0 0\n1 \xff\n")
+        code, out, err = run(capsys, "count", "--input", str(path), "--area", "1")
+        assert (code, out, err) == (2, "", f"{path}:2: not UTF-8: invalid start byte 0xff\n")
+
+    def test_curve_document_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "curve.json"
+        code, _, _ = run(capsys, "curve", "--pair1", "0,0,0", "--pair2", "1,2,1", "--out", str(path))
+        assert code == 0
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "reconstruct", "--in", str(path)) == (0, "0 0 0\n1 2 1\n", "")
+
+    def test_lattice_trend_drop_warns_and_exits_zero(self, capsys, caplog):
+        code, out, _ = run(capsys, "scaling", "--kind", "lattice", "--sizes", "100,101")
+        assert code == 0
+        assert [line.split(",")[:5] for line in out.splitlines()[1:]] == [
+            ["lattice", "100", "2", "1/2", "5442"],
+            ["lattice", "101", "2", "1/2", "5543"],
+        ]
+        # The last row of a section fills in gradually, so count/n^2 can fall.
+        assert 5543 * 100**2 < 5442 * 101**2
+        assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "equiarea", "count/n^2 decreased from n=100 to n=101")
+        ]
 
     def test_rich_lines_bad_k_prints_nothing(self, capsys, tmp_path):
         code, out, err = run(capsys, "rich-lines", "--input", write_square(tmp_path), "--k", "0")

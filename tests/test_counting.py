@@ -27,7 +27,8 @@ from equiarea.counting import (
     scaling_experiment,
     tally_by_richness,
 )
-from equiarea.geometry import DuplicatePoints, Point, integer_points, shear, signed_area2
+from equiarea import counting
+from equiarea.geometry import DuplicatePoints, InvariantViolation, Point, integer_points, shear, signed_area2
 from equiarea.incidence import census, incidence_stats, line_sizes, stats_from_sizes
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
@@ -313,6 +314,16 @@ class TestScalingExperiment:
                     pts, _, _ = integer_points(points)
                     stats = stats_from_sizes(len(pts), k, line_sizes(pts))
                     assert (row.count, row.m, row.N) == (count_brute(points, row.area), stats.m, stats.N)
+
+    def test_tally_total_must_equal_the_census_count(self, monkeypatch):
+        def off_by_one(points, k, area):
+            tally = tally_by_richness(points, k, area)
+            return RichnessTally(tally.T0 + 1, tally.T1, tally.T2, tally.T3)
+
+        # T0 does not enter M = 3*T3 + T2, so only the cross-check can catch this.
+        monkeypatch.setattr(counting, "tally_by_richness", off_by_one)
+        with pytest.raises(InvariantViolation, match="tally total 61 is not the census count 60 at n=12"):
+            scaling_experiment("lattice", [12], k=2)
 
     def test_default_areas(self):
         assert default_area("lattice") == F(1, 2)

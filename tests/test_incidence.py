@@ -6,9 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from equiarea.geometry import DuplicatePoints, Line, Point, find_shear, shear, signed_area2
+from equiarea.counting import gen_grid, gen_lattice_section
+from equiarea.geometry import DuplicatePoints, Line, Point, ZeroArea, find_shear, shear, signed_area2
 from equiarea.incidence import (
     VerticalLinePresent,
+    census,
     incidence_pairs,
     incidence_stats,
     rich_lines,
@@ -131,3 +133,18 @@ class TestIncidenceStats:
         for k in (2, 3):
             st = incidence_stats(FIVE, k)
             assert st.N >= st.m * k
+
+
+class TestCensus:
+    @pytest.mark.parametrize("area", [0, F(0), -1, F(-1, 2)])
+    @pytest.mark.parametrize("points", [gen_grid(3, 3), gen_lattice_section(20)], ids=["pencils", "row-runs"])
+    def test_area_must_be_positive(self, points, area):
+        # Unchecked, area 0 counted collinear triples on the grid (64), and
+        # on the lattice section tripped the once-per-side invariant.
+        with pytest.raises(ZeroArea):
+            census(points, 2, area)
+
+    def test_no_area_gives_stats_alone(self):
+        count, stats = census(gen_grid(3, 3), 2)
+        assert count == 0 and stats == incidence_stats(gen_grid(3, 3), 2)
+        assert census(gen_grid(3, 3), 2, F(1, 2))[0] == 32
