@@ -171,8 +171,20 @@ def cmd_k310(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_sizes(text: str) -> list[int]:
+    """The comma-separated integers of --sizes; an empty or non-integer field
+    raises ValueError, naming the field."""
+    sizes = []
+    for index, field in enumerate(text.split(","), start=1):
+        try:
+            sizes.append(int(field))
+        except ValueError:
+            raise ValueError(f"--sizes field {index} is not an integer: {field!r}") from None
+    return sizes
+
+
 def cmd_scaling(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = _parse_sizes(args.sizes)
     area = None if args.area is None else parse_rational(args.area)
     rows = scaling_experiment(args.kind, sizes, k=args.k, area=area, seed=args.seed)
     _write_output(experiment_csv(rows), args.out)

@@ -346,24 +346,88 @@ def _row_runs(pts) -> list[list[int]]:
     return runs
 
 
+def _class_sum(upper, lower, last: int) -> int:
+    """The sum over m = 0..last of max(0, U(m) - L(m) + 1), for U the least
+    of the lines c + s*m given as (c, s) in `upper` and L the greatest of
+    those in `lower`.
+
+    U and L are each linear between the floors of their lines' crossings, so
+    U - L + 1 is linear on each piece between those cuts. A piece is summed
+    from its two ends as an arithmetic series, first clipped to where it is
+    not negative.
+    """
+    cuts = {-1, last}
+    for lines in (upper, lower):
+        for index, (c, s) in enumerate(lines):
+            for c2, s2 in lines[index + 1 :]:
+                if s != s2:
+                    cut = (c2 - c) // (s - s2)
+                    if 0 <= cut < last:
+                        cuts.add(cut)
+    ends = sorted(cuts)
+    total = 0
+    for before, end in zip(ends, ends[1:]):
+        start = before + 1
+        first = min([c + s * start for c, s in upper]) - max([c + s * start for c, s in lower]) + 1
+        final = min([c + s * end for c, s in upper]) - max([c + s * end for c, s in lower]) + 1
+        if first < 0 and final < 0:
+            continue
+        if first < 0 or final < 0:
+            step = (final - first) // (end - start)
+            if first < 0:
+                start -= first // step
+                first %= step
+            else:
+                end = start + first // -step
+                final = first + step * (end - start)
+        total += (first + final) * (end - start + 1) // 2
+    return total
+
+
+def _line_depths(groups, s: int) -> Counter:
+    """Member count -> lines, over the lines of direction (pi + q*s, q) that
+    meet two or more runs, for the residue groups of `_run_count`'s class (q, pi)."""
+    depths: Counter = Counter()
+    for group in groups:
+        events = sorted([(start + y * s, 1) for y, start, _ in group] + [(stop + y * s, -1) for y, _, stop in group])
+        depth = 0
+        for (at, step), (following, _) in zip(events, events[1:]):
+            depth += step
+            if depth > 1 and following > at:
+                depths[depth] += following - at
+    return depths
+
+
 def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
     """The row runs: every base, third vertex and line from the r runs, with
     no per-point pencil and no stored pair.
 
-    A base a -> a + g*(p, q), canonical as q > 0 or q = 0 < p, runs from run
-    i to run j with y_j = y_i + g*q; over one step dx = g*p its starts x_a
-    form one interval I. Its value p*y - q*x moves by +-t, t = twice / g, at
-    a third vertex, which on run k sits at x_a + delta for
-    q*delta = p*(y_k - y_i) -+ t, so run k adds |I meet [x0_k, x1_k] - delta|
-    when q divides that. A horizontal base adds |I| times the row sizes at
-    y +- t. With `sizes`, each line through 2 or more points is tallied
-    there by member count: a row is one line, and a sloped line meets a run
-    at most once, while run k's values p*y_k - q*x step by q. So within each
-    residue mod q a sweep over the runs' ends gives the member counts. A
-    difference (dx, dy) meets at most r^2 run pairs and r third runs each,
-    so that is O(|D| * r^3) time for D the distinct differences, and
-    O(r + |D|) memory. With `twice` None only the sizes are filled, and the
-    count is 0.
+    A base a -> a + (dx, dy), dy > 0, from run i to run j has its starts
+    x_a on one interval I. With g = gcd(dx, dy) dividing twice, a third
+    vertex on row y_k = y_i + e sits at x_a + delta for
+    dy*delta = dx*e -+ twice, so run k adds |I meet [x0_k, x1_k] - delta|
+    when dy divides that. Whether g divides twice and dy divides
+    dx*e -+ twice depends only on the residue class rho of dx mod dy, and
+    within a class dx = rho + dy*m every end of that overlap is linear in m,
+    so `_class_sum` adds up the whole class. A pair walks only the classes
+    its range of dx meets, at most min(dy, that range's length). A
+    horizontal base, of a step dx dividing twice, so at most twice, adds
+    |I| times the row sizes at y +- twice / dx. So at a fixed twice the work
+    does not grow with the runs' lengths.
+
+    With `sizes`, each line through 2 or more points is tallied there by
+    member count: a row is one line, and a sloped line of direction (p, q)
+    meets a run at most once, while run k's values p*y_k - q*x step by q. A
+    class (q, pi) holds the directions (pi + q*s, q), gcd(pi, q) = 1, and
+    as s grows each run's interval of values moves linearly, by y_k per
+    step. So within each residue mod q the sweep over the runs' ends is
+    linear in s between the floors of the points where two ends cross, and
+    holds no line of 2 or more points outside them: each piece is summed
+    from the sweeps at its ends. The classes are those of the run pairs'
+    residues rho, with q = dy / gcd(rho, dy). So for r runs a pair costs at
+    most min(dy, its range of dx) classes of O(r) class sums each, and a
+    class of the line sizes O(r^2) pieces of O(r log r) each. With `twice`
+    None only the sizes are filled, and the count is 0.
     """
     gcd = math.gcd
     # Runs grouped by row, so that a third row's delta is found once.
@@ -371,49 +435,57 @@ def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
     for y, x0, x1 in runs:
         by_row.setdefault(y, []).append((x0, x1))
     rows = {y: sum(x1 - x0 + 1 for x0, x1 in spans) for y, spans in by_row.items()}
-    directions: set[tuple[int, int]] = set()
+    classes: set[tuple[int, int]] = set()
     total = 0
     for i, (yi, a0, a1) in enumerate(runs):
         for yj, b0, b1 in runs[i:]:
-            dy = yj - yi
-            # Every step dx from a point of run i to one of run j; a row keeps dx > 0.
-            for dx in range(b0 - a1 if dy else max(1, b0 - a1), b1 - a0 + 1):
-                g = gcd(dx, dy)
-                p, q = dx // g, dy // g
-                if sizes is not None and q:
-                    directions.add((p, q))
+            dy, low, high = yj - yi, b0 - a1, b1 - a0
+            if not dy:
+                # A row keeps dx > 0, and only a dx dividing twice is a step: none
+                # when twice is None.
+                for dx in range(max(1, low), min(high, twice or 0) + 1):
+                    if twice % dx == 0:
+                        t = twice // dx
+                        overlap = min(a1, b1 - dx) - max(a0, b0 - dx) + 1
+                        total += overlap * (rows.get(yi + t, 0) + rows.get(yi - t, 0))
+                continue
+            for rho in range(low, low + min(dy, high - low + 1)):
+                g = gcd(rho, dy)
+                if sizes is not None:
+                    classes.add((dy // g, rho // g % (dy // g)))
                 if twice is None or twice % g:
                     continue
-                t = twice // g
-                lo, hi = max(a0, b0 - dx), min(a1, b1 - dx)
-                if not q:
-                    total += (hi - lo + 1) * (rows.get(yi + t, 0) + rows.get(yi - t, 0))
-                    continue
+                last = (high - rho) // dy
                 for yk, spans in by_row.items():
-                    rise = p * (yk - yi)
-                    for shifted in (rise - t, rise + t):
-                        delta, rem = divmod(shifted, q)
+                    e = yk - yi
+                    for shifted in (rho * e - twice, rho * e + twice):
+                        delta, rem = divmod(shifted, dy)
                         if not rem:
                             for c0, c1 in spans:
-                                overlap = min(hi, c1 - delta) - max(lo, c0 - delta)
-                                if overlap >= 0:
-                                    total += overlap + 1
+                                total += _class_sum(((a1, 0), (b1 - rho, -dy), (c1 - delta, -e)),
+                                                    ((a0, 0), (b0 - rho, -dy), (c0 - delta, -e)), last)
     if sizes is not None:
         sizes.update(members for members in rows.values() if members > 1)
-        for p, q in directions:
-            residues: dict[int, list[tuple[int, int]]] = {}
+        for q, pi in classes:
+            residues: dict[int, list[tuple[int, int, int]]] = {}
             for yk, x0, x1 in runs:
-                # Run k holds the values residue + q*m for m in [base - x1, base - x0].
-                base, residue = divmod(p * yk, q)
-                residues.setdefault(residue, []).append((base - x1, base - x0))
-            for ends in residues.values():
-                if len(ends) > 1:
-                    events = sorted([(start, 1) for start, _ in ends] + [(end + 1, -1) for _, end in ends])
-                    depth = 0
-                    for (at, step), (following, _) in zip(events, events[1:]):
-                        depth += step
-                        if depth > 1 and following > at:
-                            sizes[depth] += following - at
+                # At s, run k holds the values residue + q*m for m from
+                # base - x1 + y_k*s up to, not including, base - x0 + 1 + y_k*s.
+                base, residue = divmod(pi * yk, q)
+                residues.setdefault(residue, []).append((yk, base - x1, base - x0 + 1))
+            groups = [group for group in residues.values() if len(group) > 1]
+            cuts = set()
+            for group in groups:
+                for index, (y, start, stop) in enumerate(group):
+                    for y2, start2, stop2 in group[index + 1 :]:
+                        if y != y2:
+                            cuts.update((b - a) // (y - y2) for a in (start, stop) for b in (start2, stop2))
+            ends = sorted(cuts)
+            for before, end in zip(ends, ends[1:]):
+                first = _line_depths(groups, before + 1)
+                final = first if end == before + 1 else _line_depths(groups, end)
+                for members in first.keys() | final.keys():
+                    sizes[members] += (first[members] + final[members]) * (end - before) // 2
     return 0 if twice is None else _triangles(total)
 
 
@@ -422,8 +494,8 @@ def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
     the triangles of |cross| `twice` on the cleared points, and with `sizes`
     each line through 2 or more of them, tallied by member count (each
     branch's docstring says how). Sets of r row runs with r^3 <= n, such as
-    lattice sections and parallel lines, run the row runs, in O(|D| * r^3)
-    for D the distinct differences. Other sets run the pencils, in
+    lattice sections and parallel lines, run the row runs, whose cost at a
+    fixed area depends on the rows and not on their length. Other sets run the pencils, in
     O(n * |D|), when their plan is within PENCIL_COST_LIMIT, as on grids;
     else the pair table, as on random sets. With `twice` None no base
     exists: the count is 0 and only `sizes` is filled, by the row runs when

@@ -249,6 +249,18 @@ class TestScaling:
         _, b, _ = run(capsys, "scaling", "--kind", "random", "--sizes", "10,20", "--seed", "2")
         assert strip_seconds(a) == strip_seconds(b)
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ("", "--sizes field 1 is not an integer: ''"),
+            ("100,,200", "--sizes field 2 is not an integer: ''"),
+            ("100,200,", "--sizes field 3 is not an integer: ''"),
+            ("100,2e2", "--sizes field 2 is not an integer: '2e2'"),
+        ],
+    )
+    def test_bad_size_field_exits_two(self, capsys, sizes, message):
+        assert run(capsys, "scaling", "--sizes", sizes) == (2, "", f"error: {message}\n")
+
 
 # Curve documents whose error message is pinned.
 MALFORMED_CURVE_MESSAGES = {

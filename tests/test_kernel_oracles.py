@@ -7,10 +7,13 @@ O(n^3) enumeration through `fixed_area_triangles` and `top_lines` for
 `tally_by_richness`, both of the first two for the scaling experiment's
 one-pass census and for each of its three branches (the row runs, the
 pencils and the pair table), and the O(N^2) Fraction scan over sheared
-incidence pairs for the integer matching probe and join. The input families
-are rational coordinates with mixed denominators, coordinates above 2^64,
-sets with vertical lines, collinear-heavy sets, and few rows of runs with
-gaps. Examples are derandomized, so every run draws the same inputs.
+incidence pairs for the integer matching probe and join, and the row runs
+taken one step at a time, `oracle_run_count`, for the row runs' sums over
+residue classes. The input families are rational coordinates with mixed
+denominators, coordinates above 2^64, sets with vertical lines,
+collinear-heavy sets, few rows of runs with gaps, lattice sections, parallel
+lines and rows far apart. Examples are derandomized, so every run draws the
+same inputs.
 """
 
 import math
@@ -191,6 +194,61 @@ def oracle_matching_pairs(pairs, area, require_q_in_s, points):
                 continue
             count += 1
     return count
+
+
+def oracle_run_count(runs, twice, sizes=None):
+    """The row runs one step at a time: every step dx of every run pair,
+    its gcd g, its base interval, and for each third row the delta of each
+    sign; and with `sizes` one sweep over the runs' ends per spanned
+    direction. O(|D| * r^3) for D the distinct differences."""
+    gcd = math.gcd
+    by_row = {}
+    for y, x0, x1 in runs:
+        by_row.setdefault(y, []).append((x0, x1))
+    rows = {y: sum(x1 - x0 + 1 for x0, x1 in spans) for y, spans in by_row.items()}
+    directions = set()
+    total = 0
+    for i, (yi, a0, a1) in enumerate(runs):
+        for yj, b0, b1 in runs[i:]:
+            dy = yj - yi
+            for dx in range(b0 - a1 if dy else max(1, b0 - a1), b1 - a0 + 1):
+                g = gcd(dx, dy)
+                p, q = dx // g, dy // g
+                if sizes is not None and q:
+                    directions.add((p, q))
+                if twice is None or twice % g:
+                    continue
+                t = twice // g
+                lo, hi = max(a0, b0 - dx), min(a1, b1 - dx)
+                if not q:
+                    total += (hi - lo + 1) * (rows.get(yi + t, 0) + rows.get(yi - t, 0))
+                    continue
+                for yk, spans in by_row.items():
+                    rise = p * (yk - yi)
+                    for shifted in (rise - t, rise + t):
+                        delta, rem = divmod(shifted, q)
+                        if not rem:
+                            for c0, c1 in spans:
+                                overlap = min(hi, c1 - delta) - max(lo, c0 - delta)
+                                if overlap >= 0:
+                                    total += overlap + 1
+    if sizes is not None:
+        sizes.update(members for members in rows.values() if members > 1)
+        for p, q in directions:
+            residues = {}
+            for yk, x0, x1 in runs:
+                base, residue = divmod(p * yk, q)
+                residues.setdefault(residue, []).append((base - x1, base - x0))
+            for ends in residues.values():
+                if len(ends) > 1:
+                    events = sorted([(start, 1) for start, _ in ends] + [(end + 1, -1) for _, end in ends])
+                    depth = 0
+                    for (at, step), (following, _) in zip(events, events[1:]):
+                        depth += step
+                        if depth > 1 and following > at:
+                            sizes[depth] += following - at
+    assert total % 3 == 0
+    return 0 if twice is None else total // 3
 
 
 def _runs(pts, twice, sizes=None):
@@ -377,6 +435,83 @@ def test_row_runs_equal_the_pencils_on_a_wide_lattice_section():
         run_sizes, pencil_sizes = Counter(), Counter()
         assert _runs(pts, twice, run_sizes) == _pencil_count(pts, twice, pencil_sizes) > 0
         assert run_sizes == pencil_sizes == expected_sizes
+
+
+STEP_SETS = {
+    "lattice": [gen_lattice_section(n) for n in [*range(4, 101), *range(150, 1600, 50), 1600]],
+    "parallel": [gen_parallel_lines(3, 20, spacing) for spacing in range(1, 8)],
+}
+
+
+def _assert_runs_equal_steps(pts, twices):
+    runs = _row_runs(pts)
+    for twice in twices:
+        sizes, expected_sizes = Counter(), Counter()
+        expected = oracle_run_count(runs, twice, expected_sizes)
+        assert _run_count(runs, twice) == _run_count(runs, twice, sizes) == expected, (len(pts), twice)
+        assert sizes == expected_sizes, (len(pts), twice)
+
+
+def test_row_runs_equal_the_step_oracle_on_row_sets():
+    @ORACLES
+    @given(ROWS)
+    def check(points):
+        pts, _, _ = integer_points(points)
+        _assert_runs_equal_steps(pts, (None, 1, 2, 3, 4, 6, 12, 60))
+
+    check()
+
+
+@pytest.mark.parametrize("family", sorted(STEP_SETS))
+def test_row_runs_equal_the_step_oracle(family):
+    """Lattice sections n = 4..1600 and parallel lines of spacing 1..7 at 2A
+    from 1 to 2520, and for sets of up to 100 points also copies moved by a
+    negative offset and by one above 2^64."""
+    for points in STEP_SETS[family]:
+        offsets = ((0, 0), (-37, -1000), (BIG, BIG + 1)) if len(points) <= 100 else ((0, 0),)
+        for dx, dy in offsets:
+            pts, _, _ = integer_points([Point(p.x + dx, p.y + dy) for p in points])
+            _assert_runs_equal_steps(pts, (None, 1, 2, 3, 12, 120, 2520))
+
+
+@pytest.mark.parametrize("gap", [2**64 + 1, 10**21])
+def test_far_rows_equal_brute(monkeypatch, gap):
+    """Two rows far apart, one of them split in two runs, where a walk over
+    every residue mod dy would not end: the row runs, through the dispatch,
+    still count and size every line exactly."""
+    dispatched = []
+    run_count = incidence._run_count
+    monkeypatch.setattr(incidence, "_run_count", lambda *args: dispatched.append(args) or run_count(*args))
+    points = [Point(x, 0) for x in [*range(10), *range(12, 20)]] + [Point(x, gap) for x in range(3, 15)]
+    member_counts = oracle_member_counts(points)
+    pts, _, scale = integer_points(points)
+    for area in (F(1, 2), F(1), F(gap, 2), F(gap), F(3 * gap, 2), F(7 * gap, 2)):
+        expected = count_brute(points, area)
+        count, stats = census(points, 2, area)
+        assert count == count_pairline(points, area) == expected
+        assert stats == stats_from_sizes(len(points), 2, Counter(member_counts.values()))
+        _assert_runs_equal_steps(pts, (None, _twice_area(area, scale)))
+    assert len(dispatched) == 12
+    assert count_brute(points, F(gap, 2)) > 0
+
+
+@pytest.mark.parametrize("short, long", [(800, 3200), (6400, 102400)])
+def test_row_run_work_does_not_grow_with_row_length(monkeypatch, short, long):
+    """Lattice sections of one row count: the class sums run the same number
+    of times whatever the rows' length. The count and line sizes of
+    `gen_lattice_section(102400)` at area 1/2 are the step oracle's."""
+    calls = []
+    class_sum = incidence._class_sum
+    monkeypatch.setattr(incidence, "_class_sum", lambda *args: calls.append(args) or class_sum(*args))
+    counts = {}
+    for n in (short, long):
+        calls.clear()
+        count, stats = census(gen_lattice_section(n), 2, F(1, 2))
+        counts[n] = len(calls)
+    assert counts[short] == counts[long] > 0
+    if long == 102400:
+        sizes = Counter({2: 1966080000, 3: 218453332, 4: 218453334, 25600: 4})
+        assert (count, stats) == (6116539732, stats_from_sizes(long, 2, sizes))
 
 
 def test_row_sets_with_gaps_equal_brute_and_fraction_lines(monkeypatch):
