@@ -37,7 +37,7 @@ from .curves import (
 from .geometry import GeometryError, InvariantViolation, parse_rational
 from .incidence import incidence_stats, rich_lines
 from .matching import IncidencePairParam
-from .pointset import PointFileError, read_points, read_text, write_points
+from .pointset import PointFileError, read_points, read_text
 
 log = logging.getLogger("equiarea")
 
@@ -67,10 +67,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         points = gen_grid(args.rows, args.cols)
     else:
         points = gen_parallel_lines(args.lines, args.per_line, args.spacing)
-    if args.out is None or args.out == "-":
-        sys.stdout.write("".join(f"{p.x} {p.y}\n" for p in points))
-    else:
-        write_points(args.out, points)
+    _write_output("".join(f"{p.x} {p.y}\n" for p in points), args.out)
     return 0
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .geometry import (GeometryError, InvariantViolation, Point, ZeroArea, check_area, check_distinct, integer_points,
                        signed_area2)
-from .incidence import RichnessTally, census, rich_table, tally_by_richness
+from .incidence import RichnessTally, census_of_pairs, rich_table, tally_by_richness
 from .matching import count_matching_on_lines
 
 # Not called here: public re-exports, and names bench/tracer.py wraps on this module.
@@ -132,44 +132,59 @@ def matching_identity_check(
 # Point-set generators
 
 
-def gen_lattice_section(n: int) -> list[Point]:
-    """First n points of a short-and-wide integer grid section.
-
-    Rows = max(2, round(sqrt(log2 n))); such flat sections force many repeated
-    triangle areas, which is what the scaling experiment tracks.
-    """
+def _lattice_pairs(n: int) -> list[tuple[int, int]]:
     if n < 4:
         raise ValueError("lattice sections start at n = 4")
     rows = max(2, round(math.sqrt(math.log2(n))))
-    cols = -(-n // rows)
-    return [Point(x, y) for y in range(rows) for x in range(cols)][:n]
+    return _grid_pairs(rows, -(-n // rows))[:n]
 
 
-def gen_random(n: int, coordinate_bound: int, seed: int) -> list[Point]:
-    """n distinct integer points in the square [-bound, bound]^2, seeded."""
+def _random_pairs(n: int, coordinate_bound: int, seed: int) -> list[tuple[int, int]]:
     if n < 0:
         raise ValueError("n must be non-negative")
     available = (2 * coordinate_bound + 1) ** 2
     if n > available:
         raise Unsatisfiable(f"cannot place {n} distinct points in {available} cells")
     rng, b = random.Random(seed), coordinate_bound
-    drawn: dict[Point, None] = {}  # first draws in order, repeats dropped
+    drawn: dict[tuple[int, int], None] = {}  # first draws in order, repeats dropped
     while len(drawn) < n:
-        drawn[Point(rng.randint(-b, b), rng.randint(-b, b))] = None
+        drawn[rng.randint(-b, b), rng.randint(-b, b)] = None
     return list(drawn)
 
 
-def gen_grid(rows: int, cols: int) -> list[Point]:
+def _grid_pairs(rows: int, cols: int) -> list[tuple[int, int]]:
     if rows <= 0 or cols <= 0:
         raise ValueError("grid dimensions must be positive")
-    return [Point(x, y) for y in range(rows) for x in range(cols)]
+    return [(x, y) for y in range(rows) for x in range(cols)]
+
+
+def _parallel_pairs(lines: int, per_line: int, spacing: int) -> list[tuple[int, int]]:
+    if lines <= 0 or per_line <= 0 or spacing <= 0:
+        raise ValueError("dimensions must be positive")
+    return [(x, y * spacing) for y in range(lines) for x in range(per_line)]
+
+
+def gen_lattice_section(n: int) -> list[Point]:
+    """First n points of a short-and-wide integer grid section.
+
+    Rows = max(2, round(sqrt(log2 n))); such flat sections force many repeated
+    triangle areas, which is what the scaling experiment tracks.
+    """
+    return [Point(x, y) for x, y in _lattice_pairs(n)]
+
+
+def gen_random(n: int, coordinate_bound: int, seed: int) -> list[Point]:
+    """n distinct integer points in the square [-bound, bound]^2, seeded."""
+    return [Point(x, y) for x, y in _random_pairs(n, coordinate_bound, seed)]
+
+
+def gen_grid(rows: int, cols: int) -> list[Point]:
+    return [Point(x, y) for x, y in _grid_pairs(rows, cols)]
 
 
 def gen_parallel_lines(lines: int, per_line: int, spacing: int) -> list[Point]:
     """Points on equally spaced horizontal lines."""
-    if lines <= 0 or per_line <= 0 or spacing <= 0:
-        raise ValueError("dimensions must be positive")
-    return [Point(x, y * spacing) for y in range(lines) for x in range(per_line)]
+    return [Point(x, y) for x, y in _parallel_pairs(lines, per_line, spacing)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +221,18 @@ class ExperimentRow:
         return ",".join("" if v is None else str(v) for v in fields)
 
 
-def _generate(kind: str, n: int, seed: int) -> list[Point]:
+def _generate(kind: str, n: int, seed: int) -> list[tuple[int, int]]:
+    """The integer pairs of one scaling row's set, as its public generator orders them."""
     if kind == "lattice":
-        return gen_lattice_section(n)
+        return _lattice_pairs(n)
     if kind == "random":
         bound = max(4, 2 * math.isqrt(n) + 2)
-        return gen_random(n, bound, seed)
+        return _random_pairs(n, bound, seed)
     if kind == "grid":
         rows = max(1, math.isqrt(n))
-        return gen_grid(rows, -(-n // rows))[:n]
+        return _grid_pairs(rows, -(-n // rows))[:n]
     if kind == "parallel":
-        return gen_parallel_lines(3, -(-n // 3), 1)[:n]
+        return _parallel_pairs(3, -(-n // 3), 1)[:n]
     raise ValueError(f"unknown generator kind: {kind}")
 
 
@@ -237,25 +253,29 @@ def scaling_experiment(
     area: Fraction | int | None = None,
     seed: int = 0,
 ) -> list[ExperimentRow]:
-    """One row per size; count, m and N from one `incidence.census` of each size's set.
+    """One row per size; count, m and N from one `incidence.census_of_pairs`
+    of the size's sorted integer pairs at scale 1, with no `Point` built.
 
-    The matching count and richness tally are only computed for sizes up to
-    MATCHING_SIZE_LIMIT, where the tally's total must equal the count; above
-    it their CSV cells stay blank. For lattice sections count/n^2 is a trend,
-    not a theorem (a section's last row fills in gradually): a drop from one
-    size to the next is logged as a warning.
+    Only for sizes up to MATCHING_SIZE_LIMIT are `Point`s built, for the
+    matching count and richness tally, whose total must equal the count;
+    above it their CSV cells stay blank. For lattice sections count/n^2 is a
+    trend, not a theorem (a section's last row fills in gradually): a drop
+    from one size to the next is logged as a warning.
     """
     if list(sizes) != sorted(sizes):
         raise ValueError("sizes must be ascending")
+    if sizes and sizes[0] < 0:
+        raise ValueError(f"sizes must be non-negative, got {sizes[0]}")
     area = default_area(kind) if area is None else check_area(area)
     rows: list[ExperimentRow] = []
     for n in sizes:
         started = time.perf_counter()
-        points = _generate(kind, n, seed + n)
-        count, stats = census(points, k, area)
+        pts = sorted(_generate(kind, n, seed + n))
+        check_distinct(pts)
+        count, stats = census_of_pairs(pts, 1, k, area)
         m_val, tally = None, (None,) * 4
         if n <= MATCHING_SIZE_LIMIT:
-            report = matching_identity_check(points, k, area)
+            report = matching_identity_check([Point(x, y) for x, y in pts], k, area)
             if not report.holds:
                 raise InvariantViolation(f"matching identity failed at n={n}")
             if report.tally.total != count:

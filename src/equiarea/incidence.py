@@ -7,7 +7,7 @@ triple `key_triple`: the order every line and incidence list here follows.
 `incidence_param` builds an incidence pair straight from a line key and an
 integer point. The census `_count` counts the triangles of one area and
 sizes every spanned line in one pass, on one of three branches;
-`count_pairline`, `census` and `incidence_stats` all run it.
+`count_pairline` and `census_of_pairs` (under `census`) both run it.
 `tally_by_richness` walks the bases once more, to split the triangles by
 their rich top lines.
 """
@@ -490,7 +490,7 @@ def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
 
 
 def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
-    """The census behind `census`, `count_pairline` and `incidence_stats`:
+    """The census behind `census_of_pairs` and `count_pairline`:
     the triangles of |cross| `twice` on the cleared points, and with `sizes`
     each line through 2 or more of them, tallied by member count (each
     branch's docstring says how). Sets of r row runs with r^3 <= n, such as
@@ -510,19 +510,25 @@ def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
     return _pair_count(pts, twice, sizes) if count is None else count
 
 
-def census(points: Sequence[Point], k: int, area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
-    """The number of area-`area` triangles and the IncidenceStats of one
-    set, from one `_count`. With `area` None the count is 0 and only the
-    line sizes are computed; any other area must be positive.
-    `stats_from_sizes` checks that the lines hold all C(n, 2) pairs, so no
-    direction was missed.
+def census_of_pairs(pts: Sequence[tuple[int, int]], scale: int, k: int,
+                    area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
+    """The number of area-`area` triangles and the IncidenceStats of one set,
+    given as sorted, distinct integer pairs, `scale` times its points, from
+    one `_count`. With `area` None the count is 0 and only the line sizes are
+    computed; any other area must be positive. `stats_from_sizes` checks that
+    the lines hold all C(n, 2) pairs, so no direction was missed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    pts, _, scale = integer_points(points)
     sizes: Counter = Counter()
     count = _count(pts, None if area is None else _twice_area(area, scale), sizes)
     return count, stats_from_sizes(len(pts), k, sizes)
+
+
+def census(points: Sequence[Point], k: int, area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
+    """`census_of_pairs` of the points, cleared by `integer_points`."""
+    pts, _, scale = integer_points(points)
+    return census_of_pairs(pts, scale, k, area)
 
 
 def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:

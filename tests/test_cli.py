@@ -1,5 +1,6 @@
 """CLI adapters: wiring, exit codes, deterministic output."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
@@ -44,6 +45,29 @@ class TestGenAndCount:
         _, a, _ = run(capsys, "gen", "--kind", "random", "--n", "10", "--seed", "3")
         _, b, _ = run(capsys, "gen", "--kind", "random", "--n", "10", "--seed", "3")
         assert a == b
+
+
+# sha256 of `equiarea gen` output, pinned from the generators that built Points directly.
+GEN_DIGESTS = {
+    ("--kind", "lattice", "--n", "40"): "b5f4a5f144ed640e1375b694e3d8c5be499da58962e776b1ad2bdcfeb757ae5a",
+    ("--kind", "random", "--n", "40", "--bound", "14", "--seed", "40"):
+        "989b11fac80fd79b5a357a34101f7639cdccff64116ddf0b7443dbdd7ef8056b",
+    ("--kind", "random", "--n", "300", "--bound", "12", "--seed", "7"):
+        "f60f7fa1795d3b0f2798360bf817b66660323b6403f918079f8c0e1c1c5699cd",
+    ("--kind", "grid", "--rows", "6", "--cols", "6"): "6e6cbdfc0bf5b5fcee05b0516d123dd8576464a129b6c2adcacb15ad540e8495",
+    ("--kind", "parallel", "--lines", "3", "--per-line", "20", "--spacing", "7"):
+        "29fdf24cabac9e56e5b6b482da9902aab404ad68cc54c65b21cc976deab1b92e",
+}
+
+
+class TestGenBytes:
+    @pytest.mark.parametrize("argv", list(GEN_DIGESTS), ids=" ".join)
+    def test_stdout_and_file_are_pinned(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, "gen", *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[argv]
+        path = tmp_path / "gen.txt"
+        assert run(capsys, "gen", *argv, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
 
 
 class TestStatsAndMatching:
@@ -260,6 +284,31 @@ class TestScaling:
     )
     def test_bad_size_field_exits_two(self, capsys, sizes, message):
         assert run(capsys, "scaling", "--sizes", sizes) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, size", [("lattice", -3), ("random", -1), ("grid", -3), ("parallel", -1)])
+    def test_negative_size_exits_two(self, capsys, kind, size):
+        # Before the check, grid and random reached math.isqrt(n) and printed its message.
+        expected = (2, "", f"error: sizes must be non-negative, got {size}\n")
+        assert run(capsys, "scaling", "--kind", kind, "--sizes", str(size)) == expected
+        # A list that starts with "-" must be attached with "=", or argparse reads it as a flag.
+        assert run(capsys, "scaling", "--kind", kind, f"--sizes={size},12") == expected
+
+    @pytest.mark.parametrize(
+        "kind, sizes, rows",
+        [
+            ("lattice", "4,5", ["lattice,4,2,1/2,4,6,12,4,0,0,4,0", "lattice,5,2,1/2,7,8,17,9,0,0,6,1"]),
+            ("random", "0,1,5", ["random,0,2,1,0,0,0,0,0,0,0,0", "random,1,2,1,0,0,0,0,0,0,0,0",
+                                 "random,5,2,1,1,10,20,0,1,0,0,0"]),
+            ("grid", "1,3,5", ["grid,1,2,1,0,0,0,0,0,0,0,0", "grid,3,2,1,0,1,3,0,0,0,0,0",
+                               "grid,5,2,1,2,8,17,0,0,2,0,0"]),
+            ("parallel", "1,3,5", ["parallel,1,2,1,0,0,0,0,0,0,0,0", "parallel,3,2,1,0,1,3,0,0,0,0,0",
+                                   "parallel,5,2,1,2,8,17,0,0,2,0,0"]),
+        ],
+    )
+    def test_smallest_sizes_are_pinned(self, capsys, kind, sizes, rows):
+        code, out, _ = run(capsys, "scaling", "--kind", kind, "--sizes", sizes)
+        assert code == 0
+        assert [line.rsplit(",", 2)[0] for line in out.splitlines()[1:]] == rows
 
 
 # Curve documents whose error message is pinned.

@@ -1,5 +1,6 @@
 """Counters, tallies, the matching identity, generators, experiments."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -30,6 +31,19 @@ from equiarea.counting import (
 from equiarea import counting
 from equiarea.geometry import DuplicatePoints, InvariantViolation, Point, integer_points, shear, signed_area2
 from equiarea.incidence import census, incidence_stats, line_sizes, stats_from_sizes
+
+
+def public_points(kind, n, seed):
+    """A scaling row's set from the public generators, its parameters restated."""
+    if kind == "lattice":
+        return gen_lattice_section(n)
+    if kind == "random":
+        return gen_random(n, max(4, 2 * math.isqrt(n) + 2), seed)
+    if kind == "grid":
+        rows = max(1, math.isqrt(n))
+        return gen_grid(rows, -(-n // rows))[:n]
+    return gen_parallel_lines(3, -(-n // 3), 1)[:n]
+
 
 SQUARE = [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
 FIVE = [Point(0, 0), Point(1, 0), Point(2, 0), Point(0, 2), Point(1, 2)]
@@ -264,6 +278,35 @@ class TestGenerators:
         assert count_pairline(row, 1) == 0
         assert count_brute(row, F(1, 2)) == 0
 
+    def test_generators_keep_their_points(self):
+        # The comprehensions the public generators ran before they read the
+        # integer bodies, inlined: same points, same order.
+        def drawn_points(n, b, seed):
+            rng, drawn = random.Random(seed), {}
+            while len(drawn) < n:
+                drawn[Point(rng.randint(-b, b), rng.randint(-b, b))] = None
+            return list(drawn)
+
+        for n in range(4, 301):
+            rows = max(2, round(math.sqrt(math.log2(n))))
+            cols = -(-n // rows)
+            assert gen_lattice_section(n) == [Point(x, y) for y in range(rows) for x in range(cols)][:n]
+            rows = max(1, math.isqrt(n))
+            cols = -(-n // rows)
+            assert gen_grid(rows, cols) == [Point(x, y) for y in range(rows) for x in range(cols)]
+            cols = -(-n // 3)
+            assert gen_parallel_lines(3, cols, 7) == [Point(x, y * 7) for y in range(3) for x in range(cols)]
+            # Seed n % 30: each of the seeds 0..29 over about ten sizes.
+            bound = max(4, 2 * math.isqrt(n) + 2)
+            assert gen_random(n, bound, n % 30) == drawn_points(n, bound, n % 30)
+
+    @pytest.mark.parametrize("kind", ["lattice", "random", "grid", "parallel"])
+    def test_scaling_pairs_are_the_public_points(self, kind):
+        for n in range(4, 301):
+            pairs = _generate(kind, n, n % 30)
+            assert all(type(x) is int and type(y) is int for x, y in pairs)
+            assert pairs == [(p.x, p.y) for p in public_points(kind, n, n % 30)]
+
     def test_parallel_lines_make_unit_triangles(self):
         pts = gen_parallel_lines(3, 4, 1)
         # Base (0,0)-(1,0) with apex on the line y = 2 spans area 1.
@@ -303,6 +346,20 @@ class TestScalingExperiment:
         with pytest.raises(ValueError):
             scaling_experiment("lattice", [32, 16])
 
+    def test_points_are_built_only_for_the_matching_check(self, monkeypatch):
+        def no_point(x, y):
+            raise AssertionError(f"Point({x}, {y}) built")
+
+        expected = [row.csv().split(",") for row in scaling_experiment("lattice", [100, 800])]
+        monkeypatch.setattr(counting, "Point", no_point)
+        rows = [row.csv().split(",") for row in scaling_experiment("lattice", [100, 800])]
+        assert [r[:12] + r[13:] for r in rows] == [r[:12] + r[13:] for r in expected]
+        with pytest.raises(AssertionError, match="built"):
+            scaling_experiment("lattice", [12])
+        monkeypatch.undo()
+        (row,) = scaling_experiment("lattice", [12])
+        assert row.M == 3 * row.T3 + row.T2 and row.T0 + row.T1 + row.T2 + row.T3 == row.count
+
     @pytest.mark.parametrize("kind", ["lattice", "random", "grid", "parallel"])
     def test_rows_equal_the_two_kernels(self, kind):
         sizes = [12, 24, 40]
@@ -310,7 +367,7 @@ class TestScalingExperiment:
         for k in (2, 3):
             for area in (None, F(1, 3), F(3, 2)):
                 for row in scaling_experiment(kind, sizes, k=k, area=area, seed=3):
-                    points = _generate(kind, row.n, row.seed + row.n)
+                    points = public_points(kind, row.n, row.seed + row.n)
                     pts, _, _ = integer_points(points)
                     stats = stats_from_sizes(len(pts), k, line_sizes(pts))
                     assert (row.count, row.m, row.N) == (count_brute(points, row.area), stats.m, stats.N)
