@@ -142,6 +142,8 @@ def _lattice_pairs(n: int) -> list[tuple[int, int]]:
 def _random_pairs(n: int, coordinate_bound: int, seed: int) -> list[tuple[int, int]]:
     if n < 0:
         raise ValueError("n must be non-negative")
+    if coordinate_bound < 0:
+        raise ValueError(f"coordinate bound must be non-negative, got {coordinate_bound}")
     available = (2 * coordinate_bound + 1) ** 2
     if n > available:
         raise Unsatisfiable(f"cannot place {n} distinct points in {available} cells")

@@ -43,7 +43,6 @@ from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
     MONOMIALS,
     Y_COLUMNS,
-    UnivariatePoly,
     cleared,
     count_real_roots,
     cubic_degree,
@@ -405,7 +404,7 @@ def has_linear_factor(cubic: BivariateCubic) -> Line | None:
         polys = [p for p in ([F[k] * (-1) ** i for i, k in enumerate(col)] for col in Y_COLUMNS) if any(p)]
         if any(not any(p[1:]) for p in polys):
             continue
-        for c in rational_roots(UnivariatePoly(polys[0])):
+        for c in rational_roots(polys[0]):
             if not any(x_section(F, -c.numerator, c.denominator)):
                 return Line(a * c.denominator, b * c.denominator, c.numerator)
     return None
@@ -535,12 +534,12 @@ def curve_intersection_bound(f: BivariateCubic, g: BivariateCubic) -> CurveInter
         t += 1
     fs, gs = (substitute(c, (1, t, 0), (0, 1, 0)) for c in (fc, gc))
     resultant = sylvester_resultant_y(fs, gs)
-    if resultant.is_zero():
+    if not resultant.coeffs:
         raise InfiniteSharedComponent("curves share a component")
-    upper, roots = real_and_rational_roots(resultant)
+    upper, roots = real_and_rational_roots(resultant.coeffs)
     points = set()
     for x0 in roots:
-        common = poly_gcd(*(UnivariatePoly(x_section(c, x0.numerator, x0.denominator)) for c in (fs, gs)))
+        common = poly_gcd(*(x_section(c, x0.numerator, x0.denominator) for c in (fs, gs)))
         for y0 in rational_roots(common):
             candidate = Point(x0 + t * y0, y0)
             if f.evaluate(candidate.x, candidate.y) == 0 and g.evaluate(candidate.x, candidate.y) == 0:
@@ -610,7 +609,7 @@ def asymptote_convergence_probe(
     norm = math.hypot(line.A, line.B)
     out = []
     for tau in xs:
-        sigma = nearest_real_root(UnivariatePoly(_probe_section(cubic, line, tau)), PROBE_WIDTH)
+        sigma = nearest_real_root(_probe_section(cubic, line, tau), PROBE_WIDTH)
         if sigma is None:
             raise NoBranch(f"no real branch at sample {tau}")
         out.append(float(abs(sigma)) * norm)

@@ -1,16 +1,17 @@
 """Small exact polynomial kit over the rationals.
 
-Univariate: a Fraction-coefficient container; gcd, Sturm real-root counting
-on the squarefree part, rational roots (with the real-root count from the
-same isolation) and root isolation on primitive integer coefficient tuples
-(signed pseudo-remainders, homogeneous Horner signs at dyadic points, no
-integer factoring). Bivariate: one representation, 10 integer coefficients
-in MONOMIALS order, and a cubic kit on it (products with linear forms,
-affine substitution scaled by the cube of its denominator, sections and
-values homogeneous in a denominator, the total degree), with the Sylvester
-resultant in y by Bareiss elimination at integer samples plus Newton
-interpolation. Denominators are cleared once, where a Fraction-valued
-polynomial or value comes in.
+Univariate: a polynomial is a sequence of ints, low degree first; gcd, Sturm
+real-root counting on the squarefree part, rational roots (with the
+real-root count from the same isolation) and root isolation, each on the
+primitive part (signed pseudo-remainders, homogeneous Horner signs at dyadic
+points, no integer factoring). Bivariate: one representation, 10 integer
+coefficients in MONOMIALS order, and a cubic kit on it (products with linear
+forms, affine substitution scaled by the cube of its denominator, sections
+and values homogeneous in a denominator, the total degree), with the
+Sylvester resultant in y by Bareiss elimination at integer samples plus
+Newton interpolation, checked by one sample beyond the Bezout bound.
+Denominators are cleared once, where a Fraction-valued polynomial or value
+comes in.
 """
 
 from __future__ import annotations
@@ -23,42 +24,25 @@ from .geometry import InvariantViolation
 
 
 class UnivariatePoly:
-    """Dense univariate polynomial with Fraction coefficients, low degree first."""
+    """The exact integer coefficients of a resultant, low degree first,
+    without trailing zeros."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UnivariatePoly({list(self.coeffs)!r})"
-
 
 # ---------------------------------------------------------------------------
-# Integer kit. A polynomial is a tuple of ints, low degree first, without
-# trailing zeros; `_ints` clears denominators once, where a UnivariatePoly
-# comes in. A point is a fraction n/d with d > 0, where the kit takes the
-# integer d^deg * p(n/d), which has the sign of p(n/d).
+# Integer kit. Each public function takes a sequence of ints, low degree
+# first, and works on its primitive part: trailing zeros and the content
+# stripped by `_primitive`. A point is a fraction n/d with d > 0, where the
+# kit takes the integer d^deg * p(n/d), which has the sign of p(n/d).
 
 _Interval = tuple[int, int, int]  # (lo, hi, d): the open interval (lo/d, hi/d)
 
@@ -70,10 +54,6 @@ def _primitive(cs: Sequence[int]) -> tuple[int, ...]:
         cs.pop()
     g = math.gcd(*cs)
     return tuple(c // g for c in cs) if g > 1 else tuple(cs)
-
-
-def _ints(p: UnivariatePoly) -> tuple[int, ...]:
-    return _primitive(cleared(p.coeffs)[0])
 
 
 def _derivative(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -149,15 +129,15 @@ def _variations(values: Iterable[int]) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Gcd, normalized primitive with positive leading coefficient."""
-    return UnivariatePoly(_gcd(_ints(a), _ints(b)))
+    return _gcd(_primitive(a), _primitive(b))
 
 
-def count_real_roots(p: UnivariatePoly) -> int:
+def count_real_roots(p: Sequence[int]) -> int:
     """Number of distinct real roots: Sturm on the squarefree part, with the
     chain's signs at -inf and +inf read off its leading terms."""
-    sf = _squarefree(_ints(p))
+    sf = _squarefree(_primitive(p))
     if len(sf) <= 1:
         return 0
     chain = _sturm_chain(sf)
@@ -216,7 +196,7 @@ def _real_roots(a: tuple[int, ...], width: Fraction) -> list[_Interval]:
     return hits + [_narrow(a, interval, width) for interval in intervals]
 
 
-def real_and_rational_roots(p: UnivariatePoly) -> tuple[int, list[Fraction]]:
+def real_and_rational_roots(p: Sequence[int]) -> tuple[int, list[Fraction]]:
     """The number of distinct real roots and all distinct rational roots,
     exactly, from one squarefree part and one isolation; no integer
     factorization.
@@ -227,9 +207,9 @@ def real_and_rational_roots(p: UnivariatePoly) -> tuple[int, list[Fraction]]:
     such fraction: each root's narrowed interval has one candidate, which
     exact evaluation decides.
     """
-    if p.degree <= 0:
+    sf = _squarefree(_primitive(p))
+    if len(sf) <= 1:
         return 0, []
-    sf = _squarefree(_ints(p))
     lead, roots = abs(sf[-1]), set()
     isolated = _real_roots(sf, Fraction(1, lead))
     for lo, hi, d in isolated:
@@ -240,7 +220,7 @@ def real_and_rational_roots(p: UnivariatePoly) -> tuple[int, list[Fraction]]:
     return len(isolated), sorted(roots)
 
 
-def rational_roots(p: UnivariatePoly) -> list[Fraction]:
+def rational_roots(p: Sequence[int]) -> list[Fraction]:
     """All distinct rational roots, exactly (see `real_and_rational_roots`)."""
     return real_and_rational_roots(p)[1]
 
@@ -250,7 +230,7 @@ def rational_factors(a: Sequence[int]) -> tuple[list[tuple[Fraction, int]], tupl
     multiplicities, and the primitive part of a with their linear factors
     divided out."""
     a, out = _primitive(a), []
-    for r in rational_roots(UnivariatePoly(a)):
+    for r in rational_roots(a):
         factor, mult = (-r.numerator, r.denominator), 0
         while (q := _quotient(a, factor)) is not None:
             a, mult = q, mult + 1
@@ -258,10 +238,13 @@ def rational_factors(a: Sequence[int]) -> tuple[list[tuple[Fraction, int]], tupl
     return out, a
 
 
-def nearest_real_root(p: UnivariatePoly, width: Fraction) -> Fraction | None:
+def nearest_real_root(p: Sequence[int], width: Fraction) -> Fraction | None:
     """Within width/2 of the real root of p nearest 0 (exactly it when
-    bisection hit it), or None when p has no real root; 0 for p = 0."""
-    a = _ints(p)
+    bisection hit it), or None when p has no real root; 0 for p = 0. The
+    width must be positive."""
+    if width <= 0:
+        raise ValueError(f"root width must be positive, got {width}")
+    a = _primitive(p)
     if not a:
         return Fraction(0)
     near = [Fraction(lo + hi, 2 * d) for lo, hi, d in _real_roots(_squarefree(a), width)]
@@ -393,12 +376,13 @@ def sylvester_resultant_y(f: Sequence[int], g: Sequence[int]) -> UnivariatePoly:
     """Resultant of f and g with respect to y, as a polynomial in x; f and g
     are integer coefficients in MONOMIALS order.
 
-    The Sylvester determinant is taken by Bareiss elimination at x = 0..D,
+    The Sylvester determinant is taken by Bareiss elimination at x = 0..D+1,
     with D = deg f * deg g the Bezout bound on its degree, and the polynomial
-    is rebuilt from the samples' forward differences (Newton), with one final
-    exact division. Both y-leading coefficients must be nonzero constants
-    (shear the inputs first when necessary) so one fixed matrix shape is
-    valid at every sample.
+    is rebuilt from the first D+1 samples' forward differences (Newton), with
+    one final exact division. The extra sample checks the bound: the (D+1)-th
+    difference of a polynomial of degree <= D is 0. Both y-leading
+    coefficients must be nonzero constants (shear the inputs first when
+    necessary) so one fixed matrix shape is valid at every sample.
     """
     fc, gc = _y_columns(f), _y_columns(g)
     n, m = len(fc) - 1, len(gc) - 1
@@ -408,7 +392,7 @@ def sylvester_resultant_y(f: Sequence[int], g: Sequence[int]) -> UnivariatePoly:
         raise ValueError("y-leading coefficients must be constants; shear first")
     bound = cubic_degree(f) * cubic_degree(g)
     values = []
-    for x in range(bound + 1):
+    for x in range(bound + 2):
         frow = [_value(col, x) for col in reversed(fc)]
         grow = [_value(col, x) for col in reversed(gc)]
         rows = [[0] * s + frow + [0] * (m - 1 - s) for s in range(m)]
@@ -423,6 +407,10 @@ def sylvester_resultant_y(f: Sequence[int], g: Sequence[int]) -> UnivariatePoly:
         values = [b - a for a, b in zip(values, values[1:])]
         falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
         scale //= k + 1
+    if values != [0]:
+        raise InvariantViolation(f"resultant samples are not of degree <= {bound}")
     if any(c % fact for c in total):
         raise InvariantViolation("interpolated resultant is not integral")
-    return UnivariatePoly(c // fact for c in total)
+    while total and not total[-1]:
+        total.pop()
+    return UnivariatePoly(tuple(c // fact for c in total))

@@ -2,15 +2,16 @@
 Fraction `make_bundle` of a generator pair, and the Fraction shear rule and
 incidence listing, kept as the tests' oracles.
 
-`UnivariatePoly` subclasses the package's container, so its instances go
-wherever the package takes one (`rational_roots`, `count_real_roots`), and
-every operation returns the subclass; wrap a polynomial the package returns
-with `of` before doing arithmetic on it. `BivariatePoly` is a sparse
-Fraction polynomial in (x, y) that exists only here: the package's one
-bivariate representation is 10 integer coefficients in MONOMIALS order.
-`slots` clears a polynomial into that form, the way to hand it to the
-package (`BivariateCubic.from_ints`, `sylvester_resultant_y`), and
-`from_slots` reads one back.
+`UnivariatePoly` is a dense Fraction polynomial with its own coercing
+constructor, so arithmetic on it stays exact whatever it was built from.
+The package's univariate kit takes integer coefficient sequences: `ints`
+clears a polynomial into one (through `cleared`), and `of` reads the
+package's integer resultant back. `BivariatePoly` is a sparse Fraction
+polynomial in (x, y) that exists only here: the package's one bivariate
+representation is 10 integer coefficients in MONOMIALS order. `slots`
+clears a polynomial into that form, the way to hand it to the package
+(`BivariateCubic.from_ints`, `sylvester_resultant_y`), and `from_slots`
+reads one back.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from equiarea import polynomial
 from equiarea.geometry import Line, Point, line_through
@@ -26,14 +27,43 @@ from equiarea.incidence import VerticalLinePresent
 from equiarea.matching import IncidencePairParam, to_param
 
 
-class UnivariatePoly(polynomial.UnivariatePoly):
-    """Dense univariate polynomial with Fraction arithmetic."""
+class UnivariatePoly:
+    """Dense univariate polynomial with Fraction coefficients and
+    arithmetic, low degree first, without trailing zeros."""
 
-    __slots__ = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
 
     @classmethod
     def of(cls, p: polynomial.UnivariatePoly) -> "UnivariatePoly":
         return cls(p.coeffs)
+
+    def ints(self) -> list[int]:
+        """The coefficients with denominators cleared: the integer sequence
+        the package's univariate kit takes."""
+        return polynomial.cleared(self.coeffs)[0]
+
+    @property
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, UnivariatePoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"UnivariatePoly({list(self.coeffs)!r})"
 
     def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
         n = max(len(self.coeffs), len(other.coeffs))

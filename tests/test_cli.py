@@ -60,6 +60,19 @@ GEN_DIGESTS = {
 }
 
 
+class TestGenRandomBound:
+    @pytest.mark.parametrize("n, bound", [("1", "-1"), ("3", "-5"), ("2", "-1")])
+    def test_negative_bound_exits_two(self, capsys, n, bound):
+        # Before the check these reached randrange, or counted (2*bound + 1)^2 cells.
+        expected = (2, "", f"error: coordinate bound must be non-negative, got {bound}\n")
+        assert run(capsys, "gen", "--kind", "random", "--n", n, "--bound", bound) == expected
+
+    def test_zero_bound_is_one_cell(self, capsys):
+        assert run(capsys, "gen", "--kind", "random", "--n", "1", "--bound", "0") == (0, "0 0\n", "")
+        assert run(capsys, "gen", "--kind", "random", "--n", "2", "--bound", "0") == (
+            2, "", "error: cannot place 2 distinct points in 1 cells\n")
+
+
 class TestGenBytes:
     @pytest.mark.parametrize("argv", list(GEN_DIGESTS), ids=" ".join)
     def test_stdout_and_file_are_pinned(self, capsys, tmp_path, argv):

@@ -47,7 +47,6 @@ from equiarea.geometry import (
 from equiarea.matching import IncidencePairParam, to_param
 from equiarea.polynomial import (
     MONOMIALS,
-    cleared,
     count_real_roots,
     cubic_value,
     on_line,
@@ -106,7 +105,7 @@ def oracle_leading_form_factors(cubic: BivariateCubic) -> LeadingFormFactors:
     y_mult = d - profile.degree
     factors = [(Line(0, 1, 0), y_mult)] if y_mult > 0 else []
     work = profile
-    for root, mult in rational_factors(cleared(profile.coeffs)[0])[0]:
+    for root, mult in rational_factors(profile.ints())[0]:
         factors.append((Line(root.denominator, -root.numerator, 0), mult))
         for _ in range(mult):
             work, rem = work.divmod(UnivariatePoly([-root, 1]))
@@ -198,7 +197,7 @@ def oracle_has_linear_factor(cubic: BivariateCubic) -> Line | None:
         polys = [p for p in polys if not p.is_zero()]
         if any(p.degree == 0 for p in polys):
             continue
-        for c in rational_roots(polys[0]):
+        for c in rational_roots(polys[0].ints()):
             if all(p.evaluate(c) == 0 for p in polys[1:]):
                 return Line(a, b, c)
     return None
@@ -290,15 +289,15 @@ def oracle_intersection(f: BivariateCubic, g: BivariateCubic):
         t += 1
     fs, gs = fp.shear_x(t), gp.shear_x(t)
     resultant = sylvester_resultant_y(fs.slots(), gs.slots())
-    if resultant.is_zero():
+    if not resultant.coeffs:
         raise InfiniteSharedComponent("curves share a component")
     points = set()
-    for x0 in rational_roots(resultant):
-        for y0 in rational_roots(poly_gcd(fs.section_at_x(x0), gs.section_at_x(x0))):
+    for x0 in rational_roots(resultant.coeffs):
+        for y0 in rational_roots(poly_gcd(fs.section_at_x(x0).ints(), gs.section_at_x(x0).ints())):
             candidate = Point(x0 + t * y0, y0)
             if fp.evaluate(candidate.x, candidate.y) == 0 == gp.evaluate(candidate.x, candidate.y):
                 points.add(candidate)
-    return count_real_roots(resultant), tuple(sorted(points))
+    return count_real_roots(resultant.coeffs), tuple(sorted(points))
 
 
 def oracle_probe_section(cubic: BivariateCubic, line: Line, tau: F) -> UnivariatePoly:

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from equiarea import curves, polynomial
 from equiarea.curves import BivariateCubic, curve_intersection_bound
-from equiarea.geometry import Point
+from equiarea.geometry import InvariantViolation, Point
 from equiarea.polynomial import (
-    cleared,
     count_real_roots,
     nearest_real_root,
     poly_gcd,
@@ -126,60 +125,75 @@ class TestUnivariateBasics:
     def test_gcd(self):
         a = from_roots(1, 2)
         b = from_roots(1, 3)
-        assert poly_gcd(a, b) == from_roots(1)
+        assert UnivariatePoly(poly_gcd(a.ints(), b.ints())) == from_roots(1)
 
     def test_squarefree(self):
         p = from_roots(1, 1, -2)
-        assert polynomial._squarefree(tuple(cleared(p.coeffs)[0])) == tuple(cleared(from_roots(1, -2).coeffs)[0])
+        assert polynomial._squarefree(tuple(p.ints())) == tuple(from_roots(1, -2).ints())
 
     def test_primitive(self):
         p = UnivariatePoly([F(2, 3), F(4, 3)])
         assert p.primitive() == UnivariatePoly([1, 2])
 
+    def test_oracle_coerces_ints(self):
+        # Built from ints, the oracle must still divide exactly, not into floats.
+        q, r = UnivariatePoly([1, 0, 1]).divmod(UnivariatePoly([1, 2]))
+        assert all(type(c) is F for c in UnivariatePoly([1, 2]).coeffs + q.coeffs + r.coeffs)
+        assert q * UnivariatePoly([1, 2]) + r == UnivariatePoly([1, 0, 1])
+
 
 class TestRealRootCounting:
     def test_distinct_roots(self):
-        assert count_real_roots(from_roots(1, 2, -3)) == 3
+        assert count_real_roots(from_roots(1, 2, -3).ints()) == 3
 
     def test_no_real_roots(self):
-        assert count_real_roots(UnivariatePoly([1, 0, 1])) == 0
+        assert count_real_roots((1, 0, 1)) == 0
 
     def test_mixed(self):
         p = UnivariatePoly([1, 0, 1]) * from_roots(5)
-        assert count_real_roots(p) == 1
+        assert count_real_roots(p.ints()) == 1
 
     def test_multiplicity_collapses(self):
-        assert count_real_roots(from_roots(2, 2, 2)) == 1
+        assert count_real_roots(from_roots(2, 2, 2).ints()) == 1
 
     def test_degree_nine(self):
         p = from_roots(*range(-4, 5))
-        assert count_real_roots(p) == 9
+        assert count_real_roots(p.ints()) == 9
 
 
 class TestRationalRoots:
     def test_simple(self):
         p = from_roots(F(1, 2), -3, 7)
-        assert rational_roots(p) == [-3, F(1, 2), 7]
+        assert rational_roots(p.ints()) == [-3, F(1, 2), 7]
 
     def test_irrational_filtered(self):
-        p = UnivariatePoly([-2, 0, 1])  # x^2 - 2
-        assert rational_roots(p) == []
+        assert rational_roots((-2, 0, 1)) == []  # x^2 - 2
 
     def test_large_denominator(self):
         p = UnivariatePoly([-1, 100003]) * UnivariatePoly([-2, 0, 1])
-        assert rational_roots(p) == [F(1, 100003)]
+        assert rational_roots(p.ints()) == [F(1, 100003)]
 
     def test_zero_root(self):
-        p = UnivariatePoly([0, 0, 1, 1])  # x^2 (x + 1)
-        assert rational_roots(p) == [-1, 0]
+        assert rational_roots((0, 0, 1, 1)) == [-1, 0]  # x^2 (x + 1)
 
     def test_multiplicities(self):
         p = from_roots(1, 1, -2)
-        assert rational_factors(cleared(p.coeffs)[0])[0] == [(-2, 1), (1, 2)]
+        assert rational_factors(p.ints())[0] == [(-2, 1), (1, 2)]
 
     def test_close_roots_separated(self):
         p = from_roots(F(1, 3), F(1, 3) + F(1, 1000))
-        assert rational_roots(p) == [F(1, 3), F(1, 3) + F(1, 1000)]
+        assert rational_roots(p.ints()) == [F(1, 3), F(1, 3) + F(1, 1000)]
+
+
+class TestNearestRealRoot:
+    def test_narrows_to_width(self):
+        assert nearest_real_root((-2, 0, 1), F(1, 10)) == F(45, 32)
+
+    @pytest.mark.parametrize("width", [F(0), F(-1)])
+    def test_rejects_width_that_is_not_positive(self, width):
+        # Such a width used to bisect forever.
+        with pytest.raises(ValueError, match=f"root width must be positive, got {width}$"):
+            nearest_real_root((-2, 0, 1), width)
 
 
 class TestBivariate:
@@ -227,13 +241,29 @@ class TestResultant:
             UnivariatePoly([-1, 0, 2]),
             UnivariatePoly([1, 0, -2]),
         )
-        assert count_real_roots(res) == 2
+        assert count_real_roots(res.coeffs) == 2
 
     def test_common_root_detected(self):
         f = BivariatePoly.linear(1, 1, -3) * BivariatePoly.linear(2, -1, 0)
         g = BivariatePoly.linear(1, 1, -3) * BivariatePoly.linear(1, 1, 5)
         res = sylvester_resultant_y(f.slots(), g.slots())
-        assert res.is_zero()  # the shared line kills the resultant
+        assert res.coeffs == ()  # the shared line kills the resultant
+
+    def test_moved_sample_is_caught(self, monkeypatch):
+        # The circle against the diagonal has Bezout bound 2, so samples x = 0..3;
+        # moving the last one by 1 moves the third difference from 0 to +-1.
+        circle = BivariatePoly({(2, 0): 1, (0, 2): 1, (0, 0): -1})
+        f, g = circle.slots(), BivariatePoly.linear(1, -1, 0).slots()
+        exact, samples = polynomial._bareiss, []
+
+        def moved(rows):
+            samples.append(exact(rows))
+            return samples[-1] + (len(samples) == 4)
+
+        monkeypatch.setattr(polynomial, "_bareiss", moved)
+        with pytest.raises(InvariantViolation, match="not of degree <= 2"):
+            sylvester_resultant_y(f, g)
+        assert len(samples) == 4
 
     def test_rejects_missing_y(self):
         f = BivariatePoly({(2, 0): 1})
@@ -272,7 +302,7 @@ class TestResultantDegreeBound:
         f = BivariatePoly({(0, 2): 1, (3, 0): 1})  # y^2 + x^3
         g = BivariatePoly({(0, 2): 1, (1, 0): 1})  # y^2 + x
         expected = from_roots(0, 0, 1, 1, -1, -1)  # (x^3 - x)^2
-        assert sylvester_resultant_y(f.slots(), g.slots()) == expected
+        assert UnivariatePoly.of(sylvester_resultant_y(f.slots(), g.slots())) == expected
         assert oracle_resultant_y(f, g, old_degree_bound(f, g)) == UnivariatePoly([0, -240, 477, -300, 63])
 
     @pytest.mark.parametrize("index", sorted(PINNED_TRIALS))
@@ -359,26 +389,30 @@ class TestAgainstSympy:
     @ORACLES
     @given(univariates())
     def test_count_real_roots(self, p):
-        assert count_real_roots(p) == to_sympy(p).sqf_part().count_roots()
+        expected = to_sympy(p).sqf_part().count_roots()
+        for zeros in range(3):
+            assert count_real_roots(p.ints() + [0] * zeros) == expected
 
     @ORACLES
     @given(univariates())
     def test_rational_roots_with_multiplicity(self, p):
         expected = sympy_rational_roots(p)
-        assert rational_factors(cleared(p.coeffs)[0])[0] == expected
-        assert rational_roots(p) == [r for r, _ in expected]
+        for zeros in range(3):
+            assert rational_factors(p.ints() + [0] * zeros)[0] == expected
+            assert rational_roots(p.ints() + [0] * zeros) == [r for r, _ in expected]
 
     @ORACLES
     @given(univariates())
     def test_nearest_real_root(self, p):
         width, eps = F(1, 10**12), F(1, 10**20)
-        found = nearest_real_root(p, width)
         roots = [(a + b) / 2 for (a, b), _ in to_sympy(p).sqf_part().intervals(eps=sympy.Rational(1, 10**20))]
-        if not roots:
-            assert found is None
-            return
-        nearest = min(abs(F(int(r.p), int(r.q))) for r in roots)
-        assert abs(abs(found) - nearest) <= width / 2 + eps
+        for zeros in range(3):
+            found = nearest_real_root(p.ints() + [0] * zeros, width)
+            if not roots:
+                assert found is None
+                continue
+            nearest = min(abs(F(int(r.p), int(r.q))) for r in roots)
+            assert abs(abs(found) - nearest) <= width / 2 + eps
 
     @ORACLES
     @given(y_polys(), y_polys())
@@ -387,7 +421,7 @@ class TestAgainstSympy:
         # polynomials.
         fi, gi = f.slots(), g.slots()
         f, g = BivariatePoly.from_slots(fi), BivariatePoly.from_slots(gi)
-        res = sylvester_resultant_y(fi, gi)
+        res = UnivariatePoly.of(sylvester_resultant_y(fi, gi))
         assert res == sympy_resultant(f, g)
         assert res.degree <= f.total_degree() * g.total_degree()
         if old_degree_bound(f, g) >= res.degree:
