@@ -140,6 +140,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         doc = json.loads(read_text(args.input))
     except json.JSONDecodeError as exc:
         raise PointFileError(args.input, exc.lineno, f"not JSON: {exc.msg} (column {exc.colno})") from exc
+    if isinstance(doc, dict) and "coefficients" not in doc:
+        raise ValueError(f'{args.input}: curve document has no "coefficients" field')
     entries = doc["coefficients"] if isinstance(doc, dict) else doc
     if entries is None:
         raise ValueError("document holds no curve coefficients")

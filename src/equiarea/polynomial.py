@@ -1,10 +1,12 @@
 """Small exact polynomial kit over the rationals.
 
 Univariate: a polynomial is a sequence of ints, low degree first; gcd, Sturm
-real-root counting on the squarefree part, rational roots (with the
-real-root count from the same isolation) and root isolation, each on the
-primitive part (signed pseudo-remainders, homogeneous Horner signs at dyadic
-points, no integer factoring). Bivariate: one representation, 10 integer
+real-root counting, rational roots (with the real-root count from the same
+Sturm chain) and root isolation, each on the primitive part (signed
+pseudo-remainders, homogeneous Horner signs at dyadic points, no integer
+factoring). Reduction modulo the primes up to 47 proves most polynomials
+free of rational roots, and then the real-root count comes from the Sturm
+chain with no bisection. Bivariate: one representation, 10 integer
 coefficients in MONOMIALS order, and a cubic kit on it (products with linear
 forms, affine substitution scaled by the cube of its denominator, sections
 and values homogeneous in a denominator, the total degree), with the
@@ -117,7 +119,7 @@ def _squarefree(a: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _sturm_chain(a: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Signed pseudo-remainder sequence of a squarefree a of degree >= 1."""
+    """Signed pseudo-remainder sequence of a squarefree a."""
     chain = [a, _derivative(a)]
     while len(chain[-1]) > 1 and (r := _prem(chain[-2], chain[-1])):
         chain.append(tuple(-c for c in r))
@@ -129,6 +131,36 @@ def _variations(values: Iterable[int]) -> int:
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
+def _infinity_count(chain: list[tuple[int, ...]]) -> int:
+    """The distinct real roots of chain[0]: the chain's sign variations at
+    -inf less those at +inf, read off its leading terms."""
+    return _variations(c[-1] * (-1) ** (len(c) - 1) for c in chain) - _variations(c[-1] for c in chain)
+
+
+# Primes for the no-rational-root certificate. A root n/q in lowest terms of
+# an integer polynomial has q | lc, so for a prime l that does not divide lc,
+# q is a unit mod l and n * q^-1 is a root mod l.
+_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _no_rational_root(a: tuple[int, ...]) -> bool:
+    """True when a prime of the table that does not divide a's leading
+    coefficient leaves a without a root mod it, which proves that a has no
+    rational root; False proves nothing."""
+    for ell in _CERTIFICATE_PRIMES:
+        if a[-1] % ell:
+            high_first = [c % ell for c in reversed(a)]
+            for x in range(ell):
+                v = 0
+                for c in high_first:
+                    v = v * x + c
+                if v % ell == 0:
+                    break
+            else:
+                return True
+    return False
+
+
 def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Gcd, normalized primitive with positive leading coefficient."""
     return _gcd(_primitive(a), _primitive(b))
@@ -138,18 +170,15 @@ def count_real_roots(p: Sequence[int]) -> int:
     """Number of distinct real roots: Sturm on the squarefree part, with the
     chain's signs at -inf and +inf read off its leading terms."""
     sf = _squarefree(_primitive(p))
-    if len(sf) <= 1:
-        return 0
-    chain = _sturm_chain(sf)
-    return _variations(c[-1] * (-1) ** (len(c) - 1) for c in chain) - _variations(c[-1] for c in chain)
+    return _infinity_count(_sturm_chain(sf)) if len(sf) > 1 else 0
 
 
-def _isolate_or_hit(sf: tuple[int, ...]) -> tuple[list[_Interval], tuple[int, int] | None]:
+def _isolate_or_hit(chain: list[tuple[int, ...]]) -> tuple[list[_Interval], tuple[int, int] | None]:
     """Sturm bisection of (-2^k, 2^k), which strictly contains the Cauchy
-    bound: (intervals, None), one per real root, with non-root endpoints; or
-    ([], (n, d)) when the bisection point n/d is a root, for the caller to
-    deflate and retry."""
-    chain = _sturm_chain(sf)
+    bound, for the squarefree chain[0]: (intervals, None), one per real root,
+    with non-root endpoints; or ([], (n, d)) when the bisection point n/d is
+    a root, for the caller to deflate and retry."""
+    sf = chain[0]
     b = 1 << (max(map(abs, sf[:-1]), default=0) // abs(sf[-1]) + 2).bit_length()
     intervals: list[_Interval] = []
     stack = [(-b, b, 1, *(_variations(_value(c, x) for c in chain) for x in (-b, b)))]
@@ -180,38 +209,46 @@ def _narrow(a: tuple[int, ...], interval: _Interval, width: Fraction) -> _Interv
     return lo, hi, d
 
 
-def _real_roots(a: tuple[int, ...], width: Fraction) -> list[_Interval]:
+def _real_roots(chain: list[tuple[int, ...]], width: Fraction) -> list[_Interval]:
     """One interval of width <= `width` around each real root of the
-    squarefree a, or (n, n, d) for a root n/d that bisection hit."""
+    squarefree chain[0], given its Sturm chain, or (n, n, d) for a root n/d
+    that bisection hit."""
     hits, intervals = [], []
-    while len(a) > 1:
-        intervals, hit = _isolate_or_hit(a)
+    while len(chain[0]) > 1:
+        intervals, hit = _isolate_or_hit(chain)
         if hit is None:
             break
         g = math.gcd(*hit)
         hits.append((hit[0], hit[0], hit[1]))
-        a, intervals = _quotient(a, (-hit[0] // g, hit[1] // g)), []
+        a, intervals = _quotient(chain[0], (-hit[0] // g, hit[1] // g)), []
         if a is None:
             raise InvariantViolation(f"root {hit[0]}/{hit[1]} left a remainder")
-    return hits + [_narrow(a, interval, width) for interval in intervals]
+        chain = _sturm_chain(a)
+    return hits + [_narrow(chain[0], interval, width) for interval in intervals]
 
 
 def real_and_rational_roots(p: Sequence[int]) -> tuple[int, list[Fraction]]:
     """The number of distinct real roots and all distinct rational roots,
-    exactly, from one squarefree part and one isolation; no integer
+    exactly, from the squarefree part and its Sturm chain; no integer
     factorization.
 
-    The isolation leaves one interval per real root. A rational root of the
-    primitive squarefree part is k/L for an integer k, with L its |leading
-    coefficient|, and an open interval no wider than 1/L holds at most one
-    such fraction: each root's narrowed interval has one candidate, which
-    exact evaluation decides.
+    First a certificate: if a prime of a small table, not dividing the
+    leading coefficient, leaves the squarefree part with no root mod it,
+    there is no rational root, and the count is read off the chain at -inf
+    and +inf with no bisection. Otherwise the isolation leaves one interval
+    per real root. A rational root of the primitive squarefree part is k/L
+    for an integer k, with L its |leading coefficient|, and an open interval
+    no wider than 1/L holds at most one such fraction: each root's narrowed
+    interval has one candidate, which exact evaluation decides.
     """
     sf = _squarefree(_primitive(p))
     if len(sf) <= 1:
         return 0, []
+    chain = _sturm_chain(sf)
+    if _no_rational_root(sf):
+        return _infinity_count(chain), []
     lead, roots = abs(sf[-1]), set()
-    isolated = _real_roots(sf, Fraction(1, lead))
+    isolated = _real_roots(chain, Fraction(1, lead))
     for lo, hi, d in isolated:
         if lo == hi:
             roots.add(Fraction(lo, d))
@@ -247,7 +284,7 @@ def nearest_real_root(p: Sequence[int], width: Fraction) -> Fraction | None:
     a = _primitive(p)
     if not a:
         return Fraction(0)
-    near = [Fraction(lo + hi, 2 * d) for lo, hi, d in _real_roots(_squarefree(a), width)]
+    near = [Fraction(lo + hi, 2 * d) for lo, hi, d in _real_roots(_sturm_chain(_squarefree(a)), width)]
     return min(near, key=abs, default=None)
 
 

@@ -324,8 +324,9 @@ class TestScaling:
         assert [line.rsplit(",", 2)[0] for line in out.splitlines()[1:]] == rows
 
 
-# Curve documents whose error message is pinned.
+# Curve documents whose error message is pinned; {path} stands for the file.
 MALFORMED_CURVE_MESSAGES = {
+    '{"case": "general"}': '{path}: curve document has no "coefficients" field',
     '{"coefficients": []}': "zero polynomial is not a curve",
     '[[1, 1, "0"]]': "zero polynomial is not a curve",
     '[[1, 1, "1/2"], [1, 1, "-1/2"]]': "zero polynomial is not a curve",
@@ -442,7 +443,7 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         if document in MALFORMED_CURVE_MESSAGES:
-            assert err == f"error: {MALFORMED_CURVE_MESSAGES[document]}\n"
+            assert err == f"error: {MALFORMED_CURVE_MESSAGES[document].replace('{path}', str(path))}\n"
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

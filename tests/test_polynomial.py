@@ -8,6 +8,7 @@ coefficients above 2^64, repeated roots, roots at 0, negative leading
 coefficients and non-integer rational coefficients.
 """
 
+import math
 from fractions import Fraction as F
 from typing import Sequence
 
@@ -24,6 +25,7 @@ from equiarea.polynomial import (
     poly_gcd,
     rational_factors,
     rational_roots,
+    real_and_rational_roots,
     sylvester_resultant_y,
 )
 
@@ -183,6 +185,47 @@ class TestRationalRoots:
     def test_close_roots_separated(self):
         p = from_roots(F(1, 3), F(1, 3) + F(1, 1000))
         assert rational_roots(p.ints()) == [F(1, 3), F(1, 3) + F(1, 1000)]
+
+
+HUGE = st.sampled_from([BIG, -BIG, 2**65 + 1, -(3**41)])
+INTEGER_COEFF = st.one_of(st.integers(-9, 9), HUGE)
+LINEAR_FACTOR = st.tuples(st.one_of(st.integers(-20, 20), HUGE), st.one_of(st.integers(1, 12), HUGE))
+
+
+@st.composite
+def with_rational_roots(draw):
+    """A product of 1-3 rational linear factors q*x - n and a random integer
+    cofactor, with coefficients above 2^64."""
+    cofactor = draw(st.lists(INTEGER_COEFF, min_size=1, max_size=5))
+    p = UnivariatePoly(cofactor if cofactor[-1] else cofactor + [1])
+    for n, q in draw(st.lists(LINEAR_FACTOR, min_size=1, max_size=3)):
+        p = p * UnivariatePoly([-n, q])
+    return p
+
+
+class TestNoRationalRootCertificate:
+    def test_no_root_mod_three_clears(self):
+        # x^2 - 2 takes the values 1, 2, 2 mod 3.
+        assert polynomial._no_rational_root((-2, 0, 1))
+        assert real_and_rational_roots((-2, 0, 1)) == (2, [])
+
+    def test_root_mod_every_prime_takes_the_fallback(self):
+        # 2, 3 or 6 is a square mod every prime, so the table clears nothing.
+        p = UnivariatePoly([-2, 0, 1]) * UnivariatePoly([-3, 0, 1]) * UnivariatePoly([-6, 0, 1])
+        assert not polynomial._no_rational_root(tuple(p.ints()))
+        assert real_and_rational_roots(p.ints()) == (6, [])
+
+    def test_leading_coefficient_divisible_by_every_prime(self):
+        lead = 614889782588491410
+        assert lead == math.prod(polynomial._CERTIFICATE_PRIMES)
+        p = UnivariatePoly([-1, lead]) * UnivariatePoly([7, 0, 1])
+        assert not polynomial._no_rational_root(tuple(p.ints()))
+        assert real_and_rational_roots(p.ints()) == (1, [F(1, lead)])
+
+    @ORACLES
+    @given(with_rational_roots())
+    def test_never_clears_a_polynomial_with_a_rational_root(self, p):
+        assert not polynomial._no_rational_root(polynomial._primitive(p.ints()))
 
 
 class TestNearestRealRoot:
@@ -400,6 +443,13 @@ class TestAgainstSympy:
         for zeros in range(3):
             assert rational_factors(p.ints() + [0] * zeros)[0] == expected
             assert rational_roots(p.ints() + [0] * zeros) == [r for r, _ in expected]
+
+    @ORACLES
+    @given(st.one_of(with_rational_roots(), st.builds(UnivariatePoly, st.lists(INTEGER_COEFF, max_size=8))))
+    def test_real_and_rational_roots(self, p):
+        # The products take the isolation; most random polynomials, the certificate.
+        expected = to_sympy(p).sqf_part().count_roots(), [r for r, _ in sympy_rational_roots(p)]
+        assert real_and_rational_roots(p.ints()) == expected
 
     @ORACLES
     @given(univariates())
