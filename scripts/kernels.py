@@ -5,7 +5,7 @@ Usage, from any directory:
     python scripts/kernels.py [--quick] [--label rootkit]
 
 Times three kernels on the inputs the curve code hands them, each as best of
-5 runs with the spread over the 5 runs:
+5 runs, with the 5 times and their spread, (max - min) / best:
 
 - `real_and_rational_roots` on the resultants of seeded `_bezout_trial` pairs;
 - `rational_factors` on the leading-form profiles of curves from
