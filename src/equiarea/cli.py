@@ -140,33 +140,27 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         doc = json.loads(read_text(args.input))
     except json.JSONDecodeError as exc:
         raise PointFileError(args.input, exc.lineno, f"not JSON: {exc.msg} (column {exc.colno})") from exc
-    if isinstance(doc, dict) and "coefficients" not in doc:
-        raise ValueError(f'{args.input}: curve document has no "coefficients" field')
-    entries = doc["coefficients"] if isinstance(doc, dict) else doc
-    if entries is None:
-        raise ValueError("document holds no curve coefficients")
-    cubic = BivariateCubic.from_coefficient_list(entries)
+    try:
+        if isinstance(doc, dict) and "coefficients" not in doc:
+            raise ValueError('curve document has no "coefficients" field')
+        entries = doc["coefficients"] if isinstance(doc, dict) else doc
+        if entries is None:
+            raise ValueError('"coefficients" is null: the document holds no curve')
+        cubic = BivariateCubic.from_coefficient_list(entries)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from exc
     q1, q2 = reconstruct_generators(cubic)
     for q in (q1, q2):
         print(f"{q.a} {q.b} {q.kappa}")
     return 0
 
 
-def cmd_bezout(args: argparse.Namespace) -> int:
-    report = bezout_scan(args.trials, args.seed, args.threads)
-    print("trials,max_upper_bound,violations")
+def cmd_scan(args: argparse.Namespace) -> int:
+    report = args.scan(args.trials, args.seed, args.threads)
+    print(f"trials,{args.column},violations")
     print(f"{report.trials},{report.max_value},{report.violations}")
     if report.violations:
-        raise InvariantViolation(f"{report.violations} curve pairs exceeded 9 intersections")
-    return 0
-
-
-def cmd_k310(args: argparse.Namespace) -> int:
-    report = k310_scan(args.trials, args.seed, args.threads)
-    print("trials,max_common_points,violations")
-    print(f"{report.trials},{report.max_value},{report.violations}")
-    if report.violations:
-        raise InvariantViolation(f"{report.violations} surface triples exceeded 9 common points")
+        raise InvariantViolation(f"{report.violations} {args.violation}")
     return 0
 
 
@@ -249,17 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("bezout", help="random curve-pair intersection scan")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_bezout)
-
-    p = sub.add_parser("k310-scan", help="random surface-triple incidence scan")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=cmd_k310)
+    for name, help_text, scan, column, violation in (
+        ("bezout", "random curve-pair intersection scan", bezout_scan,
+         "max_upper_bound", "curve pairs exceeded 9 intersections"),
+        ("k310-scan", "random surface-triple incidence scan", k310_scan,
+         "max_common_points", "surface triples exceeded 9 common points"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--trials", type=int, default=500)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--threads", type=int, default=1)
+        p.set_defaults(func=cmd_scan, scan=scan, column=column, violation=violation)
 
     p = sub.add_parser("scaling", help="size sweep with the pair-line counter")
     p.add_argument("--kind", choices=("lattice", "random", "grid", "parallel"), default="lattice")

@@ -744,44 +744,32 @@ def _k310_trial(seed: int, index: int) -> tuple[int, bool]:
             return result.upper_bound, result.upper_bound > 9
 
 
-def _scan_chunk(kind: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    trial = _bezout_trial if kind == "bezout" else _k310_trial
-    max_value = 0
-    violations = 0
-    for i in range(lo, hi):
-        value, bad = trial(seed, i)
-        max_value = max(max_value, value)
-        violations += int(bad)
-    return max_value, violations
-
-
-def _run_scan(kind: str, trials: int, seed: int, threads: int) -> ScanReport:
+def _run_scan(trial, trials: int, seed: int, threads: int) -> ScanReport:
+    """The report of trial(seed, i) -> (bound, violated) for i in range(trials)."""
     if trials < 0:
         raise ValueError("trials must be non-negative")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if threads <= 1 or trials <= 1:
-        chunks = [_scan_chunk(kind, seed, 0, trials)]
+    if threads == 1 or trials <= 1:
+        results = list(map(trial, repeat(seed), range(trials)))
     else:
-        chunk = max(1, (trials + threads - 1) // threads)
-        los = range(0, trials, chunk)
-        his = [min(lo + chunk, trials) for lo in los]
+        chunk = (trials + threads - 1) // threads
         # Imported here: the pool loads multiprocessing, which nothing else needs.
         from concurrent.futures import ProcessPoolExecutor
 
         # A forking pool starts all its workers at once: no more than chunks or usable CPUs.
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(threads, len(los), cpus)) as pool:
-            chunks = list(pool.map(_scan_chunk, repeat(kind), repeat(seed), los, his))
-    return ScanReport(trials, max(mv for mv, _ in chunks), sum(vi for _, vi in chunks))
+        with ProcessPoolExecutor(max_workers=min(threads, (trials + chunk - 1) // chunk, cpus)) as pool:
+            results = list(pool.map(trial, repeat(seed), range(trials), chunksize=chunk))
+    return ScanReport(trials, max((value for value, _ in results), default=0), sum(bad for _, bad in results))
 
 
 def bezout_scan(trials: int, seed: int = 0, threads: int = 1) -> ScanReport:
     """Random distinct curve pairs; every intersection bound must stay <= 9."""
-    return _run_scan("bezout", trials, seed, threads)
+    return _run_scan(_bezout_trial, trials, seed, threads)
 
 
 def k310_scan(trials: int, seed: int = 0, threads: int = 1) -> ScanReport:
     """Random surface triples from real incidence sets; common points <= 9
     certifies the incidence graph free of a complete 3-by-10 subgraph."""
-    return _run_scan("k310", trials, seed, threads)
+    return _run_scan(_k310_trial, trials, seed, threads)

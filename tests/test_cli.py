@@ -324,9 +324,12 @@ class TestScaling:
         assert [line.rsplit(",", 2)[0] for line in out.splitlines()[1:]] == rows
 
 
-# Curve documents whose error message is pinned; {path} stands for the file.
+# Malformed curve documents and their pinned messages, after the "<file>: " prefix.
 MALFORMED_CURVE_MESSAGES = {
-    '{"case": "general"}': '{path}: curve document has no "coefficients" field',
+    '{"case": "general"}': 'curve document has no "coefficients" field',
+    '{"coefficients": null}': '"coefficients" is null: the document holds no curve',
+    '{"coefficients": 5}': "coefficients must be a list of [i, j, value] entries, not 5",
+    '{"coefficients": [[3, 0]]}': 'coefficient entry [3, 0] is not [i, j, "n/d"] with integers i, j',
     '{"coefficients": []}': "zero polynomial is not a curve",
     '[[1, 1, "0"]]': "zero polynomial is not a curve",
     '[[1, 1, "1/2"], [1, 1, "-1/2"]]': "zero polynomial is not a curve",
@@ -433,17 +436,12 @@ class TestErrorPaths:
         code, _, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "0.5")
         assert code == 2 and "rational" in err
 
-    @pytest.mark.parametrize(
-        "document", ['{"coefficients": [[3, 0]]}', '{"coefficients": 5}', *MALFORMED_CURVE_MESSAGES]
-    )
+    @pytest.mark.parametrize("document", list(MALFORMED_CURVE_MESSAGES))
     def test_malformed_curve_document_exits_two(self, capsys, tmp_path, document):
         path = tmp_path / "curve.json"
         path.write_text(document)
         code, out, err = run(capsys, "reconstruct", "--in", str(path))
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        if document in MALFORMED_CURVE_MESSAGES:
-            assert err == f"error: {MALFORMED_CURVE_MESSAGES[document].replace('{path}', str(path))}\n"
+        assert (code, out, err) == (2, "", f"error: {path}: {MALFORMED_CURVE_MESSAGES[document]}\n")
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

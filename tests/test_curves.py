@@ -502,18 +502,26 @@ def test_importing_the_cli_loads_no_process_pool():
 
 @pytest.mark.parametrize(
     "threads, trials, cpus, workers",
-    [(100_000, 7, 4, 4), (100_000, 3, 8, 3), (8, 50, 2, 2), (3, 50, 8, 3), (100_000, 9, None, 5)],
+    [
+        (100_000, 7, 4, 4), (100_000, 3, 8, 3), (8, 50, 2, 2), (3, 50, 8, 3), (100_000, 9, None, 5),
+        # Uneven chunks: 4, 4, 2 and 2, 2, 2, 1.
+        (3, 10, 8, 3), (4, 7, 8, 4),
+        # No trial or one: no pool.
+        (2, 0, 8, None), (5, 1, 8, None),
+    ],
 )
 def test_scan_pool_is_capped(monkeypatch, threads, trials, cpus, workers):
-    """The pool gets min(threads, chunks, usable CPUs) workers. A stub pool
-    records the size and maps in this process, so no process starts."""
+    """Both scans give the pool min(threads, chunks, usable CPUs) workers and
+    chunks of ceil(trials / threads) trials, and report what threads=1 does. A
+    stub pool records the size and chunk and maps in this process, so no
+    process starts."""
     import concurrent.futures
 
-    sizes = []
+    pools = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -521,7 +529,8 @@ def test_scan_pool_is_capped(monkeypatch, threads, trials, cpus, workers):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
+        def map(self, fn, *iterables, chunksize=1):
+            pools.append((self.max_workers, chunksize))
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -530,5 +539,6 @@ def test_scan_pool_is_capped(monkeypatch, threads, trials, cpus, workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert curves.bezout_scan(trials, 1, threads) == curves.bezout_scan(trials, 1)
-    assert sizes == [workers]
+    for scan in (curves.bezout_scan, curves.k310_scan):
+        assert scan(trials, 1, threads) == scan(trials, 1)
+    assert pools == ([(workers, -(-trials // threads))] * 2 if workers else [])
