@@ -1,23 +1,32 @@
-"""Kernel timings for the univariate root kit of `equiarea.polynomial`.
+"""Kernel timings for the univariate root kit of `equiarea.polynomial` and
+the row-run census of `equiarea.incidence`.
 
 Usage, from any directory:
 
     python scripts/kernels.py [--quick] [--label rootkit]
 
-Times three kernels on the inputs the curve code hands them, each as best of
-5 runs, with the 5 times and their spread, (max - min) / best:
+Times each kernel on the inputs its callers hand it, as best of 5 runs,
+with the 5 times and their spread, (max - min) / best:
 
 - `real_and_rational_roots` on the resultants of seeded `_bezout_trial` pairs;
 - `rational_factors` on the leading-form profiles of curves from
   `random_general_position_pair`;
-- `nearest_real_root` on the sections of the asymptote probe.
+- `nearest_real_root` on the sections of the asymptote probe;
+- `_row_runs short` and `_row_runs long` on the sorted pairs of lattice
+  sections of n = 800 and n = 409 600 (25 600 with --quick);
+- `_run_count short` and `_run_count long` on those sections' runs, at
+  area 1/2 and with the line sizes, as the census calls it;
+- `_class_sum` on every class sum of `scaling_experiment('lattice', [100,
+  200, 400, 800])` and of the row runs of `gen_random(120, 8, 1)` at area
+  1/2 (`gen_random(40, 8, 1)` with --quick);
+- `scaling_experiment long` on the long section, its rows less `seconds`.
 
-The inputs are recorded by calling the curve code once with the kernel
-wrapped, outside the timed region. The package is imported from src/ of this
-checkout. The script writes BENCH_<label>.json in the current directory, with
-a sha256 digest of the kernels' outputs, the git revision, the CPU count and
-the Python version, and prints that digest as its last line: equal digests
-mean equal outputs.
+The root-kit and class-sum inputs are recorded by calling the curve code or
+the census once with the kernel wrapped, outside the timed region. The
+package is imported from src/ of this checkout. The script writes
+BENCH_<label>.json in the current directory, with a sha256 digest of the
+kernels' outputs, the git revision, the CPU count and the Python version,
+and prints that digest as its last line: equal digests mean equal outputs.
 """
 
 from __future__ import annotations
@@ -32,33 +41,37 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from equiarea import curves, polynomial  # noqa: E402
+from equiarea import counting, curves, incidence, polynomial  # noqa: E402
 
 RUNS = 5
 SEED = 1
 PROBE_TAUS = (10**3, 10**4, 10**5, 10**6)
 # (bezout trials, general-position curves, probed curves)
 SIZES = {"full": (120, 100, 20), "quick": (20, 20, 4)}
+# (short lattice section, long lattice section, random set of the class sums)
+CENSUS_SIZES = {"full": (800, 409600, 120), "quick": (800, 25600, 40)}
 
 
-def recorded(name: str, run) -> list[tuple]:
-    """The arguments of every call of curves.<name> while run() runs."""
-    calls, kernel = [], getattr(curves, name)
+def recorded(name: str, run, module=curves) -> list[tuple]:
+    """The arguments of every call of <module>.<name> while run() runs."""
+    calls, kernel = [], getattr(module, name)
 
     def record(*args):
         calls.append(args)
         return kernel(*args)
 
-    setattr(curves, name, record)
+    setattr(module, name, record)
     try:
         run()
     finally:
-        setattr(curves, name, kernel)
+        setattr(module, name, kernel)
     return calls
 
 
@@ -87,6 +100,40 @@ def inputs(size: str) -> dict[str, list[tuple]]:
         "real_and_rational_roots": recorded("real_and_rational_roots", scan),
         "rational_factors": recorded("rational_factors", profiles),
         "nearest_real_root": recorded("nearest_real_root", probes),
+    }
+
+
+def run_count(runs, twice):
+    """`_run_count` with the line sizes, as the census calls it: the count and the sizes."""
+    sizes = Counter()
+    return incidence._run_count(runs, twice, sizes), sorted(sizes.items())
+
+
+def scaling_rows(n):
+    """The rows of `scaling_experiment('lattice', [n])`, less `seconds`."""
+    rows = counting.scaling_experiment("lattice", [n])
+    return [[getattr(row, field.name) for field in fields(row) if field.name != "seconds"] for row in rows]
+
+
+def census_kernels(size: str) -> dict[str, tuple]:
+    """Census kernel name -> (kernel, calls). The lattice sections are
+    generated and sorted outside the timed region, as are their runs."""
+    short, long, random_n = CENSUS_SIZES[size]
+    pts = {n: sorted(counting._lattice_pairs(n)) for n in (short, long)}
+    runs = {n: incidence._row_runs(pts[n]) for n in (short, long)}
+    random_runs = incidence._row_runs(sorted(counting._random_pairs(random_n, 8, 1)))
+
+    def class_sums():
+        counting.scaling_experiment("lattice", [100, 200, 400, 800])
+        incidence._run_count(random_runs, 1)
+
+    return {
+        "_row_runs short": (incidence._row_runs, [(pts[short],)]),
+        "_row_runs long": (incidence._row_runs, [(pts[long],)]),
+        "_run_count short": (run_count, [(runs[short], 1)]),
+        "_run_count long": (run_count, [(runs[long], 1)]),
+        "_class_sum": (incidence._class_sum, recorded("_class_sum", class_sums, incidence)),
+        "scaling_experiment long": (scaling_rows, [(long,)]),
     }
 
 
@@ -132,8 +179,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     size = "quick" if args.quick else "full"
     kernels, outputs = {}, {}
-    for name, calls in inputs(size).items():
-        runs, out = time_kernel(getattr(polynomial, name), calls)
+    timed = {name: (getattr(polynomial, name), calls) for name, calls in inputs(size).items()}
+    timed.update(census_kernels(size))
+    for name, (kernel, calls) in timed.items():
+        runs, out = time_kernel(kernel, calls)
         outputs[name] = plain(out)
         kernels[name] = {
             "inputs": len(calls),
@@ -143,7 +192,7 @@ def main(argv=None) -> int:
             "spread": (max(runs) - min(runs)) / min(runs),
             "digest": digest(outputs[name]),
         }
-        print(f"{name}: {len(calls)} inputs, best {min(runs):.4f} s, spread {kernels[name]['spread']:.1%}")
+        print(f"{name}: {len(calls)} inputs, best {min(runs):.6f} s, spread {kernels[name]['spread']:.1%}")
     report = {
         "label": args.label,
         "size": size,

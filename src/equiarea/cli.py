@@ -27,6 +27,7 @@ from .counting import (
 )
 from .curves import (
     BivariateCubic,
+    CurveError,
     NonSimpleFactorUnsupported,
     asymptotes,
     bezout_scan,
@@ -146,10 +147,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         entries = doc["coefficients"] if isinstance(doc, dict) else doc
         if entries is None:
             raise ValueError('"coefficients" is null: the document holds no curve')
-        cubic = BivariateCubic.from_coefficient_list(entries)
-    except ValueError as exc:
+        q1, q2 = reconstruct_generators(BivariateCubic.from_coefficient_list(entries))
+    except (ValueError, CurveError) as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
-    q1, q2 = reconstruct_generators(cubic)
     for q in (q1, q2):
         print(f"{q.a} {q.b} {q.kappa}")
     return 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .geometry import GeometryError, InvariantViolation, Line, Point, check_area, integer_points
+from .geometry import DuplicatePoints, GeometryError, InvariantViolation, Line, Point, check_area, integer_points
 from .matching import IncidencePairParam
 
 
@@ -336,66 +336,105 @@ def _pencil_count(pts, twice: int, sizes: Counter | None = None, limit: int | No
 
 
 def _row_runs(pts) -> list[list[int]]:
-    """The maximal horizontal runs [y, x0, x1] of consecutive x, ascending by (y, x0)."""
+    """The maximal horizontal runs [y, x0, x1] of consecutive x, ascending by (y, x0).
+
+    `pts` holds sorted, distinct integer pairs, so each row's x values arrive
+    ascending and a repeated pair follows its twin: one pass extends or
+    opens the row's last run, in one dict lookup per pair, and only the r
+    runs are sorted. A repeat raises DuplicatePoints, and an x below its
+    row's last one ValueError.
+    """
+    open_runs: dict[int, list[int]] = {}
     runs: list[list[int]] = []
-    for y, x in sorted((y, x) for x, y in pts):
-        if runs and runs[-1][0] == y and runs[-1][2] == x - 1:
-            runs[-1][2] = x
+    for x, y in pts:
+        run = open_runs.get(y)
+        if run is not None and run[2] == x - 1:
+            run[2] = x
+        elif run is None or run[2] < x:
+            open_runs[y] = run = [y, x, x]
+            runs.append(run)
+        elif run[2] == x:
+            raise DuplicatePoints(f"point set has repeats: ({x}, {y})")
         else:
-            runs.append([y, x, x])
+            raise ValueError(f"pairs are not sorted: ({x}, {y}) follows x = {run[2]} on its row")
+    runs.sort()
     return runs
 
 
 def _class_sum(upper, lower, last: int) -> int:
     """The sum over m = 0..last of max(0, U(m) - L(m) + 1), for U the least
-    of the lines c + s*m given as (c, s) in `upper` and L the greatest of
-    those in `lower`.
+    of the three lines c + s*m given as (c, s) in `upper` and L the greatest
+    of the three in `lower`.
 
-    U and L are each linear between the floors of their lines' crossings, so
-    U - L + 1 is linear on each piece between those cuts. A piece is summed
-    from its two ends as an arithmetic series, first clipped to where it is
-    not negative.
+    U and L are each one line between the floors of their lines' crossings,
+    so U - L + 1 is linear on each piece between those cuts. A piece is
+    summed from its two ends as an arithmetic series, first clipped to where
+    it is not negative; twice each sum is added up, so that no piece is
+    halved.
     """
-    cuts = {-1, last}
-    for lines in (upper, lower):
-        for index, (c, s) in enumerate(lines):
-            for c2, s2 in lines[index + 1 :]:
-                if s != s2:
-                    cut = (c2 - c) // (s - s2)
-                    if 0 <= cut < last:
-                        cuts.add(cut)
-    ends = sorted(cuts)
-    total = 0
-    for before, end in zip(ends, ends[1:]):
+    (u1, t1), (u2, t2), (u3, t3) = upper
+    (l1, s1), (l2, s2), (l3, s3) = lower
+    if not last:
+        return max(0, min(u1, u2, u3) - max(l1, l2, l3) + 1)
+    cuts = {last}
+    if t1 != t2:
+        cuts.add((u2 - u1) // (t1 - t2))
+    if t1 != t3:
+        cuts.add((u3 - u1) // (t1 - t3))
+    if t2 != t3:
+        cuts.add((u3 - u2) // (t2 - t3))
+    if s1 != s2:
+        cuts.add((l2 - l1) // (s1 - s2))
+    if s1 != s3:
+        cuts.add((l3 - l1) // (s1 - s3))
+    if s2 != s3:
+        cuts.add((l3 - l2) // (s2 - s3))
+    twice = 0
+    before = -1
+    for end in sorted(cuts):
+        if end <= before or end > last:
+            continue
         start = before + 1
-        first = min([c + s * start for c, s in upper]) - max([c + s * start for c, s in lower]) + 1
-        final = min([c + s * end for c, s in upper]) - max([c + s * end for c, s in lower]) + 1
+        before = end
+        # A piece longer than one point starts past every crossing of its
+        # lines, so the least upper and greatest lower line at its start are
+        # U and L on all of it.
+        top, t = min((u1 + t1 * start, t1), (u2 + t2 * start, t2), (u3 + t3 * start, t3))
+        bottom, s = max((l1 + s1 * start, s1), (l2 + s2 * start, s2), (l3 + s3 * start, s3))
+        first, step = top - bottom + 1, t - s
+        final = first + step * (end - start)
         if first < 0 and final < 0:
             continue
-        if first < 0 or final < 0:
-            step = (final - first) // (end - start)
-            if first < 0:
-                start -= first // step
-                first %= step
-            else:
-                end = start + first // -step
-                final = first + step * (end - start)
-        total += (first + final) * (end - start + 1) // 2
-    return total
+        if first < 0:
+            start -= first // step
+            first %= step
+        elif final < 0:
+            end = start + first // -step
+            final = first + step * (end - start)
+        twice += (first + final) * (end - start + 1)
+    return twice // 2
 
 
-def _line_depths(groups, s: int) -> Counter:
-    """Member count -> lines, over the lines of direction (pi + q*s, q) that
-    meet two or more runs, for the residue groups of `_run_count`'s class (q, pi)."""
-    depths: Counter = Counter()
+def _line_depths(groups, first: int, last: int, doubled: dict[int, int]) -> None:
+    """Adds to `doubled`, per member count, twice the number of lines of
+    the directions (pi + q*s, q), s = first..last, that meet two or more
+    runs, for the residue groups of `_run_count`'s class (q, pi).
+
+    No two runs' ends cross between first and last, so the sweep's order at
+    `first` holds at every s there and each gap between two consecutive ends
+    is linear in s: its sum over the range is summed from its two ends.
+    """
+    steps = last - first
     for group in groups:
-        events = sorted([(start + y * s, 1) for y, start, _ in group] + [(stop + y * s, -1) for y, _, stop in group])
+        events = sorted([(start + y * first, 1, y) for y, start, _ in group]
+                        + [(stop + y * first, -1, y) for y, _, stop in group])
         depth = 0
-        for (at, step), (following, _) in zip(events, events[1:]):
+        for (at, step, y), (following, _, y2) in zip(events, events[1:]):
             depth += step
-            if depth > 1 and following > at:
-                depths[depth] += following - at
-    return depths
+            if depth > 1:
+                gaps = 2 * (following - at) + (y2 - y) * steps
+                if gaps:
+                    doubled[depth] = doubled.get(depth, 0) + gaps * (steps + 1)
 
 
 def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
@@ -466,6 +505,7 @@ def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
                                                     ((a0, 0), (b0 - rho, -dy), (c0 - delta, -e)), last)
     if sizes is not None:
         sizes.update(members for members in rows.values() if members > 1)
+        doubled: dict[int, int] = {}
         for q, pi in classes:
             residues: dict[int, list[tuple[int, int, int]]] = {}
             for yk, x0, x1 in runs:
@@ -479,13 +519,14 @@ def _run_count(runs, twice: int | None, sizes: Counter | None = None) -> int:
                 for index, (y, start, stop) in enumerate(group):
                     for y2, start2, stop2 in group[index + 1 :]:
                         if y != y2:
-                            cuts.update((b - a) // (y - y2) for a in (start, stop) for b in (start2, stop2))
+                            d = y - y2
+                            cuts.update(((start2 - start) // d, (stop2 - start) // d,
+                                         (start2 - stop) // d, (stop2 - stop) // d))
             ends = sorted(cuts)
             for before, end in zip(ends, ends[1:]):
-                first = _line_depths(groups, before + 1)
-                final = first if end == before + 1 else _line_depths(groups, end)
-                for members in first.keys() | final.keys():
-                    sizes[members] += (first[members] + final[members]) * (end - before) // 2
+                _line_depths(groups, before + 1, end, doubled)
+        for members, lines in doubled.items():
+            sizes[members] += lines // 2
     return 0 if twice is None else _triangles(total)
 
 
@@ -493,13 +534,16 @@ def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
     """The census behind `census_of_pairs` and `count_pairline`:
     the triangles of |cross| `twice` on the cleared points, and with `sizes`
     each line through 2 or more of them, tallied by member count (each
-    branch's docstring says how). Sets of r row runs with r^3 <= n, such as
-    lattice sections and parallel lines, run the row runs, whose cost at a
-    fixed area depends on the rows and not on their length. Other sets run the pencils, in
-    O(n * |D|), when their plan is within PENCIL_COST_LIMIT, as on grids;
-    else the pair table, as on random sets. With `twice` None no base
-    exists: the count is 0 and only `sizes` is filled, by the row runs when
-    they would run, else by `line_sizes`."""
+    branch's docstring says how). `pts` holds sorted, distinct integer
+    pairs: `_row_runs` reads them first, whatever the branch, at one dict
+    lookup a pair, and raises DuplicatePoints on a repeat. Sets of r row
+    runs with r^3 <= n, such as lattice sections and parallel lines, run the
+    row runs, whose cost at a fixed area depends on the rows and not on
+    their length. Other sets run the pencils, in O(n * |D|), when their plan
+    is within PENCIL_COST_LIMIT, as on grids; else the pair table, as on
+    random sets. With `twice` None no base exists: the count is 0 and only
+    `sizes` is filled, by the row runs when they would run, else by
+    `line_sizes`."""
     runs = _row_runs(pts)
     if len(runs) ** 3 <= len(pts):
         return _run_count(runs, twice, sizes)
@@ -514,9 +558,10 @@ def census_of_pairs(pts: Sequence[tuple[int, int]], scale: int, k: int,
                     area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
     """The number of area-`area` triangles and the IncidenceStats of one set,
     given as sorted, distinct integer pairs, `scale` times its points, from
-    one `_count`. With `area` None the count is 0 and only the line sizes are
-    computed; any other area must be positive. `stats_from_sizes` checks that
-    the lines hold all C(n, 2) pairs, so no direction was missed.
+    one `_count`, in which a repeated pair raises DuplicatePoints. With
+    `area` None the count is 0 and only the line sizes are computed; any
+    other area must be positive. `stats_from_sizes` checks that the lines
+    hold all C(n, 2) pairs, so no direction was missed.
     """
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -339,6 +339,13 @@ MALFORMED_CURVE_MESSAGES = {
     '[[3, 0, "1.5"], [0, 0, "1"]]': "not a rational 'n' or 'n/d': '1.5'",
 }
 
+# Well-formed curve documents whose cubic is no match curve, and the
+# messages `reconstruct_generators` gives, after the "<file>: " prefix.
+NOT_A_MATCH_CURVE_MESSAGES = {
+    '{"coefficients": [[3, 0, "1"]]}': "triple linear factor",
+    '[[3, 0, "1"], [0, 3, "1"]]': "leading form does not split into three lines",
+}
+
 
 class TestErrorPaths:
     def test_missing_file(self, capsys):
@@ -442,6 +449,13 @@ class TestErrorPaths:
         path.write_text(document)
         code, out, err = run(capsys, "reconstruct", "--in", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: {MALFORMED_CURVE_MESSAGES[document]}\n")
+
+    @pytest.mark.parametrize("document", list(NOT_A_MATCH_CURVE_MESSAGES))
+    def test_no_match_curve_names_the_file(self, capsys, tmp_path, document):
+        path = tmp_path / "curve.json"
+        path.write_text(document)
+        code, out, err = run(capsys, "reconstruct", "--in", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {NOT_A_MATCH_CURVE_MESSAGES[document]}\n")
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

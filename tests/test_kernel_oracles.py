@@ -9,11 +9,13 @@ one-pass census and for each of its three branches (the row runs, the
 pencils and the pair table), and the O(N^2) Fraction scan over sheared
 incidence pairs for the integer matching probe and join, and the row runs
 taken one step at a time, `oracle_run_count`, for the row runs' sums over
-residue classes. The input families are rational coordinates with mixed
-denominators, coordinates above 2^64, sets with vertical lines,
-collinear-heavy sets, few rows of runs with gaps, lattice sections, parallel
-lines and rows far apart. Examples are derandomized, so every run draws the
-same inputs.
+residue classes, with the generic piecewise sum `oracle_class_sum` (and the
+sum one step at a time) for the three-line `_class_sum`, and the runs of the
+pairs sorted by row, `oracle_row_runs`, for the one pass of `_row_runs`. The
+input families are rational coordinates with mixed denominators, coordinates
+above 2^64, sets with vertical lines, collinear-heavy sets, few rows of runs
+with gaps, lattice sections, parallel lines and rows far apart. Examples are
+derandomized, so every run draws the same inputs.
 """
 
 import math
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equiarea import incidence
+from equiarea import counting, incidence
 from equiarea.counting import (
     RichnessTally,
     count_brute,
@@ -37,9 +39,11 @@ from equiarea.counting import (
     gen_parallel_lines,
     gen_random,
     matching_count,
+    scaling_experiment,
     tally_by_richness,
 )
 from equiarea.geometry import (
+    DuplicatePoints,
     InvariantViolation,
     Line,
     Point,
@@ -50,12 +54,14 @@ from equiarea.geometry import (
     signed_area2,
 )
 from equiarea.incidence import (
+    _class_sum,
     _pair_count,
     _pencil_count,
     _row_runs,
     _run_count,
     _twice_area,
     census,
+    census_of_pairs,
     incidence_pairs,
     incidence_stats,
     key_line,
@@ -249,6 +255,50 @@ def oracle_run_count(runs, twice, sizes=None):
                             sizes[depth] += following - at
     assert total % 3 == 0
     return 0 if twice is None else total // 3
+
+
+def oracle_row_runs(pts):
+    """The maximal horizontal runs [y, x0, x1], ascending by (y, x0), from
+    all the pairs sorted by (y, x): any order in, and no repeat checked."""
+    runs = []
+    for y, x in sorted((y, x) for x, y in pts):
+        if runs and runs[-1][0] == y and runs[-1][2] == x - 1:
+            runs[-1][2] = x
+        else:
+            runs.append([y, x, x])
+    return runs
+
+
+def oracle_class_sum(upper, lower, last):
+    """The sum over m = 0..last of max(0, U(m) - L(m) + 1), for U the least
+    and L the greatest of any number of lines (c, s): every crossing of two
+    lines of one side cuts, and each piece is summed from its ends."""
+    cuts = {-1, last}
+    for lines in (upper, lower):
+        for index, (c, s) in enumerate(lines):
+            for c2, s2 in lines[index + 1 :]:
+                if s != s2:
+                    cut = (c2 - c) // (s - s2)
+                    if 0 <= cut < last:
+                        cuts.add(cut)
+    ends = sorted(cuts)
+    total = 0
+    for before, end in zip(ends, ends[1:]):
+        start = before + 1
+        first = min([c + s * start for c, s in upper]) - max([c + s * start for c, s in lower]) + 1
+        final = min([c + s * end for c, s in upper]) - max([c + s * end for c, s in lower]) + 1
+        if first < 0 and final < 0:
+            continue
+        if first < 0 or final < 0:
+            step = (final - first) // (end - start)
+            if first < 0:
+                start -= first // step
+                first %= step
+            else:
+                end = start + first // -step
+                final = first + step * (end - start)
+        total += (first + final) * (end - start + 1) // 2
+    return total
 
 
 def _runs(pts, twice, sizes=None):
@@ -512,6 +562,108 @@ def test_row_run_work_does_not_grow_with_row_length(monkeypatch, short, long):
     if long == 102400:
         sizes = Counter({2: 1966080000, 3: 218453332, 4: 218453334, 25600: 4})
         assert (count, stats) == (6116539732, stats_from_sizes(long, 2, sizes))
+
+
+# Three lines a side, with slopes from -3 to 3 so that equal slopes are
+# common; sometimes the lower side takes the upper side's slopes, as in
+# `_run_count`'s calls. All intercepts are sometimes moved below -2^64 or
+# above 2^64, which changes no sum, and classes run to m = 10^21.
+_LINE_TRIPLES = st.tuples(*[st.tuples(st.integers(-60, 60), st.integers(-3, 3))] * 3)
+
+
+@st.composite
+def _class_sum_inputs(draw):
+    upper, lower = draw(_LINE_TRIPLES), draw(_LINE_TRIPLES)
+    if draw(st.booleans()):
+        lower = tuple((c, s) for (c, _), (_, s) in zip(lower, upper))
+    shift = draw(st.sampled_from((0, -BIG, BIG)))
+    last = draw(st.one_of(st.integers(0, 60), st.integers(0, 10**21)))
+    return tuple((c + shift, s) for c, s in upper), tuple((c + shift, s) for c, s in lower), last
+
+
+def _sum_by_steps(upper, lower, last):
+    return sum(max(0, min(c + s * m for c, s in upper) - max(c + s * m for c, s in lower) + 1) for m in range(last + 1))
+
+
+def test_class_sum_equals_the_generic_oracle():
+    """And, for classes of up to 61 steps, the sum taken one m at a time."""
+
+    @settings(ORACLES, max_examples=1000)
+    @given(_class_sum_inputs())
+    def check(drawn):
+        expected = oracle_class_sum(*drawn)
+        assert _class_sum(*drawn) == expected
+        if drawn[2] <= 60:
+            assert expected == _sum_by_steps(*drawn)
+
+    check()
+
+
+def test_class_sum_equals_the_generic_oracle_on_census_calls(monkeypatch):
+    """Every class sum the census asks for on lattice sections, parallel
+    lines and a dense random set, called through the row runs."""
+    calls = []
+    monkeypatch.setattr(incidence, "_class_sum", lambda *args: calls.append(args) or _class_sum(*args))
+    for points in (gen_lattice_section(100), gen_lattice_section(800), gen_parallel_lines(3, 40, 2),
+                   gen_random(50, 5, 1)):
+        pts, _, scale = integer_points(points)
+        for area in (F(1, 2), F(1), F(3, 2), F(6)):
+            _runs(pts, _twice_area(area, scale))
+    assert len(calls) > 1000
+    assert [_class_sum(*args) for args in calls] == [oracle_class_sum(*args) for args in calls]
+
+
+@st.composite
+def _pair_sets(draw):
+    """Distinct pairs on up to 4 rows, their x from -20 to 20 so that rows
+    split into runs, the rows sometimes 10^21 apart; in any order."""
+    gap = draw(st.sampled_from((1, 10**21)))
+    rows = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    row = st.sampled_from(rows).map(lambda y: y * gap)
+    return draw(st.lists(st.tuples(st.integers(-20, 20), row), max_size=60, unique=True))
+
+
+def test_row_runs_equal_the_sorting_oracle():
+    """One pass over the sorted pairs gives the oracle's runs of the pairs in
+    any order, and a repeated pair raises."""
+
+    @settings(ORACLES, max_examples=500)
+    @given(_pair_sets(), st.data())
+    def check(pairs, data):
+        pts = sorted(pairs)
+        assert _row_runs(pts) == oracle_row_runs(pairs)
+        if pts:
+            with pytest.raises(DuplicatePoints):
+                _row_runs(sorted([*pts, data.draw(st.sampled_from(pts))]))
+
+    check()
+
+
+def test_row_runs_reject_a_row_out_of_order():
+    with pytest.raises(ValueError, match="not sorted"):
+        _row_runs([(0, 1), (2, 0), (1, 0)])
+
+
+RANDOM_40 = counting._random_pairs(40, 8, 1)
+REPEATED = {
+    "one row": [(0, 0), (1, 0), (1, 0), (2, 0)],
+    "far rows": [(0, 5), (1, -(10**21)), (1, -(10**21)), (2, 10**21)],
+    "random 40": sorted([*RANDOM_40, RANDOM_40[7]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED))
+def test_a_repeated_pair_raises_through_the_census(monkeypatch, name):
+    """Through `census_of_pairs` with and without an area, whichever branch
+    the dispatch would pick, and through `scaling_experiment`, which keeps
+    no hash set of its own."""
+    pts = REPEATED[name]
+    for area in (None, F(1, 2), F(1)):
+        with pytest.raises(DuplicatePoints):
+            census_of_pairs(pts, 1, 2, area)
+    monkeypatch.setattr(counting, "_generate", lambda kind, n, seed: pts[::-1])
+    with pytest.raises(DuplicatePoints):
+        scaling_experiment("random", [len(pts)])
 
 
 def test_row_sets_with_gaps_equal_brute_and_fraction_lines(monkeypatch):

@@ -20,7 +20,11 @@ def test_quick_runs_repeat_their_digests(tmp_path):
         report = json.loads((tmp_path / "BENCH_smoke.json").read_text())
         assert set(report) == {"label", "size", "revision", "cpu_count", "python", "runs", "kernels", "digest"}
         assert (report["label"], report["size"], report["runs"]) == ("smoke", "quick", 5)
-        assert set(report["kernels"]) == {"real_and_rational_roots", "rational_factors", "nearest_real_root"}
+        assert set(report["kernels"]) == {
+            "real_and_rational_roots", "rational_factors", "nearest_real_root",
+            "_row_runs short", "_row_runs long", "_run_count short", "_run_count long", "_class_sum",
+            "scaling_experiment long",
+        }
         for kernel in report["kernels"].values():
             assert set(kernel) == {"inputs", "best_s", "median_s", "runs_s", "spread", "digest"}
             runs = kernel["runs_s"]
