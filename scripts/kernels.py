@@ -1,5 +1,5 @@
 """Kernel timings for the univariate root kit of `equiarea.polynomial` and
-the row-run census of `equiarea.incidence`.
+the census of `equiarea.incidence`.
 
 Usage, from any directory:
 
@@ -19,7 +19,15 @@ with the 5 times and their spread, (max - min) / best:
 - `_class_sum` on every class sum of `scaling_experiment('lattice', [100,
   200, 400, 800])` and of the row runs of `gen_random(120, 8, 1)` at area
   1/2 (`gen_random(40, 8, 1)` with --quick);
-- `scaling_experiment long` on the long section, its rows less `seconds`.
+- `scaling_experiment long` on the long section, its rows less `seconds`;
+- the census routing, `_count` with the line sizes at 2A = 2 on sets the row
+  runs serve by their rows or by their columns: `_count wide grid` on
+  `gen_grid(16, 100)`, `_count tall grid` on `gen_grid(100, 16)`,
+  `_count square grid` on `gen_grid(40, 40)`, `_count parallel lines` on
+  `gen_parallel_lines(20, 50, 7)`, `_count transposed section` on the
+  lattice section of n = 1600 with x and y swapped, and
+  `_count square grid, no area` on `gen_grid(30, 30)` with no area (with
+  --quick: 8x50, 50x8 and 20x20 grids, 10 lines of 25, n = 400 and 15x15).
 
 The root-kit and class-sum inputs are recorded by calling the curve code or
 the census once with the kernel wrapped, outside the timed region. The
@@ -57,6 +65,12 @@ PROBE_TAUS = (10**3, 10**4, 10**5, 10**6)
 SIZES = {"full": (120, 100, 20), "quick": (20, 20, 4)}
 # (short lattice section, long lattice section, random set of the class sums)
 CENSUS_SIZES = {"full": (800, 409600, 120), "quick": (800, 25600, 40)}
+# (wide grid, tall grid, square grid, parallel lines, transposed section's n,
+# square grid with no area); grids as (rows, cols), lines as (lines, per line).
+ROUTING_SIZES = {
+    "full": ((16, 100), (100, 16), (40, 40), (20, 50), 1600, (30, 30)),
+    "quick": ((8, 50), (50, 8), (20, 20), (10, 25), 400, (15, 15)),
+}
 
 
 def recorded(name: str, run, module=curves) -> list[tuple]:
@@ -103,10 +117,10 @@ def inputs(size: str) -> dict[str, list[tuple]]:
     }
 
 
-def run_count(runs, twice):
-    """`_run_count` with the line sizes, as the census calls it: the count and the sizes."""
+def with_sizes(kernel, data, twice):
+    """A census kernel with the line sizes, as the census calls it: the count and the sizes."""
     sizes = Counter()
-    return incidence._run_count(runs, twice, sizes), sorted(sizes.items())
+    return kernel(data, twice, sizes), sorted(sizes.items())
 
 
 def scaling_rows(n):
@@ -130,11 +144,26 @@ def census_kernels(size: str) -> dict[str, tuple]:
     return {
         "_row_runs short": (incidence._row_runs, [(pts[short],)]),
         "_row_runs long": (incidence._row_runs, [(pts[long],)]),
-        "_run_count short": (run_count, [(runs[short], 1)]),
-        "_run_count long": (run_count, [(runs[long], 1)]),
+        "_run_count short": (with_sizes, [(incidence._run_count, runs[short], 1)]),
+        "_run_count long": (with_sizes, [(incidence._run_count, runs[long], 1)]),
         "_class_sum": (incidence._class_sum, recorded("_class_sum", class_sums, incidence)),
         "scaling_experiment long": (scaling_rows, [(long,)]),
     }
+
+
+def routing_kernels(size: str) -> dict[str, tuple]:
+    """Census routing kernel name -> (kernel, calls): `_count` with the line
+    sizes, on pairs sorted outside the timed region."""
+    wide, tall, square, (lines, per_line), section, unsized = ROUTING_SIZES[size]
+    sets = {
+        "_count wide grid": (counting._grid_pairs(*wide), 2),
+        "_count tall grid": (counting._grid_pairs(*tall), 2),
+        "_count square grid": (counting._grid_pairs(*square), 2),
+        "_count parallel lines": (counting._parallel_pairs(lines, per_line, 7), 2),
+        "_count transposed section": ([(y, x) for x, y in counting._lattice_pairs(section)], 2),
+        "_count square grid, no area": (counting._grid_pairs(*unsized), None),
+    }
+    return {name: (with_sizes, [(incidence._count, sorted(pts), twice)]) for name, (pts, twice) in sets.items()}
 
 
 def plain(value):
@@ -148,14 +177,14 @@ def digest(value) -> str:
     return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
 
 
-def time_kernel(kernel, calls: list[tuple]) -> tuple[list[float], list]:
+def time_kernel(name: str, kernel, calls: list[tuple]) -> tuple[list[float], list]:
     runs, outputs = [], None
     for _ in range(RUNS):
         started = time.perf_counter()
         out = [kernel(*args) for args in calls]
         runs.append(time.perf_counter() - started)
         if outputs is not None and out != outputs:
-            raise SystemExit(f"{kernel.__name__} gave different outputs on the same inputs")
+            raise SystemExit(f"{name} gave different outputs on the same inputs")
         outputs = out
     return runs, outputs
 
@@ -181,8 +210,9 @@ def main(argv=None) -> int:
     kernels, outputs = {}, {}
     timed = {name: (getattr(polynomial, name), calls) for name, calls in inputs(size).items()}
     timed.update(census_kernels(size))
+    timed.update(routing_kernels(size))
     for name, (kernel, calls) in timed.items():
-        runs, out = time_kernel(kernel, calls)
+        runs, out = time_kernel(name, kernel, calls)
         outputs[name] = plain(out)
         kernels[name] = {
             "inputs": len(calls),

@@ -29,9 +29,9 @@ from .geometry import (
     GeometryError,
     InvariantViolation,
     Line,
-    ParallelLines,
     Point,
     VerticalLine,
+    cleared,
     find_shear,
     intersect,
     parse_rational,
@@ -43,7 +43,6 @@ from .matching import IncidencePairParam, matches_ccw, to_param
 from .polynomial import (
     MONOMIALS,
     Y_COLUMNS,
-    cleared,
     count_real_roots,
     cubic_degree,
     cubic_value,
@@ -455,15 +454,8 @@ def _reconstruct_general(
     rx, ry = rest[7], rest[8]
     if rx == 0 and ry == 0:
         raise NotAMatchCurve("no median direction left after linearization")
-    # Vertices of the asymptote triangle; vertex[i] avoids asymptote i.
-    try:
-        verts = [
-            intersect(asys[1], asys[2]),
-            intersect(asys[0], asys[2]),
-            intersect(asys[0], asys[1]),
-        ]
-    except ParallelLines as exc:
-        raise NonSimpleFactorUnsupported("parallel asymptotes") from exc
+    # Vertices of the asymptote triangle, whose sides have distinct directions; vertex[i] avoids asymptote i.
+    verts = [intersect(asys[1], asys[2]), intersect(asys[0], asys[2]), intersect(asys[0], asys[1])]
     # The median from vertex i to the others' midpoint runs along (sum - 3 * vertex i) / 2.
     sx, sy = sum(v.x for v in verts), sum(v.y for v in verts)
     hits = [i for i, v in enumerate(verts) if rx * (sx - 3 * v.x) + ry * (sy - 3 * v.y) == 0]
@@ -471,17 +463,12 @@ def _reconstruct_general(
         raise AmbiguousMedian("several medians parallel to the linear remainder")
     if not hits:
         raise NotAMatchCurve("no median parallel to the linear remainder")
-    o_index = hits[0]
-    others = [verts[j] for j in range(3) if j != o_index]
-    pairs = []
-    for line in (asys[j] for j in range(3) if j != o_index):
-        points = [p for p in others if line.contains(p)]
-        if len(points) != 1:
-            raise NotAMatchCurve("asymptote triangle is degenerate")
-        try:
-            pairs.append(to_param(line, points[0]))
-        except VerticalLine as exc:
-            raise NotAMatchCurve("generator line would be vertical") from exc
+    # Asymptote j holds just vertex k, and k just j: a concurrent triple, the one exception, raised above.
+    j, k = (i for i in range(3) if i != hits[0])
+    try:
+        pairs = (to_param(asys[j], verts[k]), to_param(asys[k], verts[j]))
+    except VerticalLine as exc:
+        raise NotAMatchCurve("generator line would be vertical") from exc
     return tuple(sorted(pairs))
 
 

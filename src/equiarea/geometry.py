@@ -10,7 +10,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class GeometryError(Exception):
@@ -97,9 +97,7 @@ class Line:
     def __post_init__(self) -> None:
         ai, bi, ci = self.A, self.B, self.C
         if not (isinstance(ai, int) and isinstance(bi, int) and isinstance(ci, int)):
-            a, b, c = Fraction(ai), Fraction(bi), Fraction(ci)
-            den = math.lcm(a.denominator, b.denominator, c.denominator)
-            ai, bi, ci = int(a * den), int(b * den), int(c * den)
+            (ai, bi, ci), _ = cleared(map(Fraction, (ai, bi, ci)))
         if ai == 0 and bi == 0:
             raise GeometryError("line needs (A, B) != (0, 0)")
         g = math.gcd(ai, bi, ci)
@@ -185,22 +183,27 @@ def check_area(area: Fraction | int) -> Fraction:
     return area
 
 
+def cleared(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
+    """Clear denominators once: integers n_i and the lcm d of the
+    denominators, with value_i = n_i / d. The package's one lcm."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, int]], list[Point], int]:
-    """Clear denominators once: the points scaled to integer pairs, and L.
+    """The points `cleared` to integer pairs, and L.
 
     L is the lcm of every coordinate denominator, so (L*x, L*y) is an integer
     pair. Scaling by L multiplies every signed area by L^2 and keeps
     collinearity and the lexicographic order. The pairs come back sorted, with
     the caller's points in the same order; repeats raise DuplicatePoints.
     """
-    scale = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
-    keyed = sorted(
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator), p)
-        for p in points
-    )
-    pts = [(x, y) for x, y, _ in keyed]
+    coords, scale = cleared([c for p in points for c in (p.x, p.y)])
+    keyed = sorted(zip(zip(coords[::2], coords[1::2]), points))
+    pts = [pair for pair, _ in keyed]
     check_distinct(pts)
-    return pts, [p for _, _, p in keyed], scale
+    return pts, [p for _, p in keyed], scale
 
 
 def shear_denominator(pts: Sequence[tuple[int, int]]) -> int:

@@ -246,12 +246,12 @@ def _pair_count(pts, twice: int, sizes: Counter | None = None) -> int:
     return _triangles(total)
 
 
-#: On sets of more than n^(1/3) row runs, the pencils run when n * (the sum
-#: over their directions of 1 + steps) is at most this many times C(n, 2).
-#: That ratio is 4.0-5.4 on grids, and 67-83 on the scaling experiment's
-#: random sets; the pencils and the pair table take about equal time near
-#: 10-20, on denser random sets. Lattice sections and parallel lines have
-#: r^3 <= n and run the row runs.
+#: On sets whose rows and columns both give more than sqrt(n) runs, the
+#: pencils run when n * (the sum over their directions of 1 + steps) is at
+#: most this many times C(n, 2). At area 1 that ratio is 5.6-5.9 on dense
+#: random sets such as `gen_random(200, 7, 1)`, and 67-83 on the scaling
+#: experiment's random sets; the pencils and the pair table take about equal
+#: time near 10-20, as on `gen_random(120, 8, 1)` at 12.
 PENCIL_COST_LIMIT = 8
 
 
@@ -536,16 +536,21 @@ def _count(pts, twice: int | None, sizes: Counter | None = None) -> int:
     each line through 2 or more of them, tallied by member count (each
     branch's docstring says how). `pts` holds sorted, distinct integer
     pairs: `_row_runs` reads them first, whatever the branch, at one dict
-    lookup a pair, and raises DuplicatePoints on a repeat. Sets of r row
-    runs with r^3 <= n, such as lattice sections and parallel lines, run the
-    row runs, whose cost at a fixed area depends on the rows and not on
-    their length. Other sets run the pencils, in O(n * |D|), when their plan
-    is within PENCIL_COST_LIMIT, as on grids; else the pair table, as on
-    random sets. With `twice` None no base exists: the count is 0 and only
-    `sizes` is filled, by the row runs when they would run, else by
-    `line_sizes`."""
+    lookup a pair, and raises DuplicatePoints on a repeat. When the rows give
+    more than sqrt(n) runs, the columns are read too, as the rows of the
+    transposed pairs; a transpose keeps every |cross| and every line size.
+    The row runs run on the first of the two with r^2 <= n runs, such as
+    lattice sections, parallel lines and grids, at a cost that at a fixed
+    area depends on the runs and not on their length. Other sets run the
+    pencils, in O(n * |D|), when their plan is within PENCIL_COST_LIMIT;
+    else the pair table, as on random sets. With `twice` None no base
+    exists: the count is 0 and only `sizes` is filled, by the row runs when
+    they would run, else by `line_sizes`."""
+    n = len(pts)
     runs = _row_runs(pts)
-    if len(runs) ** 3 <= len(pts):
+    if len(runs) ** 2 > n:
+        runs = _row_runs(sorted([(y, x) for x, y in pts]))
+    if len(runs) ** 2 <= n:
         return _run_count(runs, twice, sizes)
     if twice is None:
         sizes.update(line_sizes(pts))

@@ -27,6 +27,7 @@ from .geometry import (
     Line,
     Point,
     ZeroArea,
+    cleared,
     intersect,
     line_through,
     signed_area2,
@@ -174,14 +175,13 @@ def pair_incidences(
     the least common denominator. A pair of slope n/d on the scaled point
     (x, y) has the `rich_table` key (d, n, d*y - n*x)."""
     listed = [] if points is None else list(points)
-    coords = [c for p in pairs for c in (p.a, p.b)] + [c for p in listed for c in (p.x, p.y)]
-    scale = math.lcm(*(c.denominator for c in coords))
+    coords, scale = cleared([c for p in pairs for c in (p.a, p.b)] + [c for p in listed for c in (p.x, p.y)])
     lines: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    for p in pairs:
-        x, y = int(p.a * scale), int(p.b * scale)
+    for p, x, y in zip(pairs, coords[::2], coords[1::2]):
         d, n = p.kappa.denominator, p.kappa.numerator
         lines.setdefault((d, n, d * y - n * x), []).append((x, y))
-    in_s = None if points is None else {(int(p.x * scale), int(p.y * scale)) for p in listed}
+    rest = coords[2 * len(pairs) :]
+    in_s = None if points is None else set(zip(rest[::2], rest[1::2]))
     return lines, in_s, scale
 
 

@@ -12,8 +12,8 @@ forms, affine substitution scaled by the cube of its denominator, sections
 and values homogeneous in a denominator, the total degree), with the
 Sylvester resultant in y by Bareiss elimination at integer samples plus
 Newton interpolation, checked by one sample beyond the Bezout bound.
-Denominators are cleared once, where a Fraction-valued polynomial or value
-comes in.
+Callers clear denominators once, with `geometry.cleared`, where a
+Fraction-valued polynomial or value comes in.
 """
 
 from __future__ import annotations
@@ -314,14 +314,6 @@ _ONE = (0,) * 9 + (1,)
 # Slots of x^i y^j for i = 0..3-j, one tuple per j: the y-columns.
 Y_COLUMNS = tuple(tuple(_SLOT[(i, j)] for i in range(4 - j)) for j in range(4))
 AffineForm = tuple[int, int, int]  # (a, b, c): a*u + b*v + c
-
-
-def cleared(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """Clear denominators once: integers n_i and the lcm d of the
-    denominators, with value_i = n_i / d."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def times_linear(p: Sequence[int], a: int, b: int, c: int) -> list[int]:

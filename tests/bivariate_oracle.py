@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from equiarea import polynomial
-from equiarea.geometry import Line, Point, line_through
+from equiarea.geometry import Line, Point, cleared, line_through
 from equiarea.incidence import VerticalLinePresent
 from equiarea.matching import IncidencePairParam, to_param
 
@@ -46,7 +46,7 @@ class UnivariatePoly:
     def ints(self) -> list[int]:
         """The coefficients with denominators cleared: the integer sequence
         the package's univariate kit takes."""
-        return polynomial.cleared(self.coeffs)[0]
+        return cleared(self.coeffs)[0]
 
     @property
     def degree(self) -> int:
@@ -115,7 +115,7 @@ class UnivariatePoly:
 
     def primitive(self) -> "UnivariatePoly":
         """Integer-coefficient version with content 1, sign preserved."""
-        ints, _ = polynomial.cleared(self.coeffs)
+        ints, _ = cleared(self.coeffs)
         g = math.gcd(*ints)
         return UnivariatePoly(c // g for c in ints) if g else UnivariatePoly()
 
@@ -144,7 +144,7 @@ class BivariatePoly:
         form the package's cubic kit takes."""
         if self.total_degree() > 3:
             raise ValueError("degree exceeds 3")
-        return polynomial.cleared(self.coeff(i, j) for i, j in polynomial.MONOMIALS)[0]
+        return cleared(self.coeff(i, j) for i, j in polynomial.MONOMIALS)[0]
 
     def is_zero(self) -> bool:
         return not self.coeffs

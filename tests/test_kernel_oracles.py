@@ -122,7 +122,7 @@ FAMILIES = {"rational": RATIONAL, "huge": HUGE, "vertical": VERTICAL, "collinear
 @st.composite
 def _row_sets(draw):
     """2-4 rows, not always adjacent, of 1-3 runs each, split by gaps; up to
-    40 points. Runs of 5 or more points let r^3 <= n hold often, so that
+    40 points. Runs of 5 or more points let r^2 <= n hold often, so that
     the dispatch itself picks the row runs; shorter runs are in VERTICAL."""
     points = []
     for y in draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True)):
@@ -696,18 +696,45 @@ def test_row_sets_with_gaps_equal_brute_and_fraction_lines(monkeypatch):
     assert sum(reached) >= 30, f"the dispatch picked the row runs on {sum(reached)} of {len(reached)} sets"
 
 
+TRANSPOSE_FAMILIES = {**FAMILIES, "rows": ROWS}
+
+
+@pytest.mark.parametrize("family", sorted(TRANSPOSE_FAMILIES))
+def test_transpose_keeps_the_census(family):
+    """The census may read the columns as the rows of the transposed pairs:
+    a transpose keeps every |cross|, so the count, and every line size,
+    whichever branch each side takes. The row sets' transposes take the
+    columns; some copies are moved above 2^64."""
+
+    @ORACLES
+    @given(TRANSPOSE_FAMILIES[family], AREAS, st.sampled_from(((0, 0), (BIG, -(BIG**2)))))
+    def check(points, drawn, offset):
+        pts, _, scale = integer_points([Point(p.x + offset[0], p.y + offset[1]) for p in points])
+        transposed = sorted((y, x) for x, y in pts)
+        for area in _areas_to_check(points, drawn) | {None}:
+            twice = None if area is None else _twice_area(area, scale)
+            sizes, transposed_sizes = Counter(), Counter()
+            assert incidence._count(pts, twice, sizes) == incidence._count(transposed, twice, transposed_sizes)
+            assert sizes == transposed_sizes
+
+    check()
+
+
 @pytest.mark.parametrize(
     "name, points, branch",
     [
         ("lattice", gen_lattice_section(200), "runs"),
-        ("grid", gen_grid(14, 14), "pencils"),
+        ("grid", gen_grid(14, 14), "runs"),
         ("parallel", gen_parallel_lines(3, 60, 1), "runs"),
         ("random, scaling bound", gen_random(200, 30, 1), "pair table"),
         ("random, dense", gen_random(120, 8, 1), "pair table"),
+        ("tall grid, by its columns", gen_grid(100, 16), "runs"),
+        ("random, denser", gen_random(200, 7, 1), "pencils"),
     ],
 )
 def test_dispatch_picks_one_branch_per_set(monkeypatch, name, points, branch):
-    """The branch that answers each count; the pencils answer None when over their limit."""
+    """The branch that answers each count; the pencils answer None when over
+    their limit. The tall grid has 100 rows but 16 columns."""
     answered = []
     for attr, label in (("_run_count", "runs"), ("_pencil_count", "pencils"), ("_pair_count", "pair table")):
 
