@@ -27,7 +27,13 @@ with the 5 times and their spread, (max - min) / best:
   `gen_parallel_lines(20, 50, 7)`, `_count transposed section` on the
   lattice section of n = 1600 with x and y swapped, and
   `_count square grid, no area` on `gen_grid(30, 30)` with no area (with
-  --quick: 8x50, 50x8 and 20x20 grids, 10 lines of 25, n = 400 and 15x15).
+  --quick: 8x50, 50x8 and 20x20 grids, 10 lines of 25, n = 400 and 15x15);
+- `cold start`, `import equiarea.cli` timed inside each of 5 fresh
+  interpreters. Each imports a copy of src/equiarea without `__pycache__`,
+  with -B, so it compiles the package from source, as every process does
+  on a host that writes no bytecode. Its output is the --help text of the
+  root parser and of each subcommand, at 80 columns, so equal digests show
+  an unchanged CLI surface.
 
 The root-kit and class-sum inputs are recorded by calling the curve code or
 the census once with the kernel wrapped, outside the timed region. The
@@ -45,9 +51,11 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from dataclasses import fields
@@ -166,6 +174,30 @@ def routing_kernels(size: str) -> dict[str, tuple]:
     return {name: (with_sizes, [(incidence._count, sorted(pts), twice)]) for name, (pts, twice) in sets.items()}
 
 
+# The cold-start child: argv[1] is the src/ directory to import from.
+COLD_START = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+started = time.perf_counter()
+import equiarea.cli
+seconds = time.perf_counter() - started
+parser = equiarea.cli.build_parser()
+(commands,) = parser._subparsers._group_actions
+print(json.dumps([seconds, [p.format_help() for p in (parser, *commands.choices.values())]]))
+"""
+
+
+def cold_start() -> tuple[float, list[str]]:
+    """One fresh interpreter's `import equiarea.cli` seconds and its parsers' --help texts."""
+    with tempfile.TemporaryDirectory() as src:
+        shutil.copytree(ROOT / "src" / "equiarea", Path(src) / "equiarea",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        done = subprocess.run([sys.executable, "-B", "-c", COLD_START, src], capture_output=True,
+                              text=True, check=True, env={**os.environ, "COLUMNS": "80"})
+    seconds, helps = json.loads(done.stdout)
+    return seconds, helps
+
+
 def plain(value):
     """Outputs as JSON: Fractions as strings, tuples as lists."""
     if isinstance(value, (list, tuple)):
@@ -177,12 +209,22 @@ def digest(value) -> str:
     return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
 
 
-def time_kernel(name: str, kernel, calls: list[tuple]) -> tuple[list[float], list]:
-    runs, outputs = [], None
-    for _ in range(RUNS):
+def timed_calls(kernel, calls: list[tuple]):
+    """A run of the kernel on every call's arguments: its seconds and outputs."""
+    def run() -> tuple[float, list]:
         started = time.perf_counter()
         out = [kernel(*args) for args in calls]
-        runs.append(time.perf_counter() - started)
+        return time.perf_counter() - started, out
+
+    return run
+
+
+def time_kernel(name: str, run) -> tuple[list[float], object]:
+    """The seconds of RUNS runs and their outputs, which must repeat."""
+    runs, outputs = [], None
+    for _ in range(RUNS):
+        seconds, out = run()
+        runs.append(seconds)
         if outputs is not None and out != outputs:
             raise SystemExit(f"{name} gave different outputs on the same inputs")
         outputs = out
@@ -211,18 +253,20 @@ def main(argv=None) -> int:
     timed = {name: (getattr(polynomial, name), calls) for name, calls in inputs(size).items()}
     timed.update(census_kernels(size))
     timed.update(routing_kernels(size))
-    for name, (kernel, calls) in timed.items():
-        runs, out = time_kernel(name, kernel, calls)
+    runners = {name: (len(calls), timed_calls(kernel, calls)) for name, (kernel, calls) in timed.items()}
+    runners["cold start"] = (1, cold_start)
+    for name, (n_inputs, run) in runners.items():
+        runs, out = time_kernel(name, run)
         outputs[name] = plain(out)
         kernels[name] = {
-            "inputs": len(calls),
+            "inputs": n_inputs,
             "best_s": min(runs),
             "median_s": statistics.median(runs),
             "runs_s": runs,
             "spread": (max(runs) - min(runs)) / min(runs),
             "digest": digest(outputs[name]),
         }
-        print(f"{name}: {len(calls)} inputs, best {min(runs):.6f} s, spread {kernels[name]['spread']:.1%}")
+        print(f"{name}: {n_inputs} inputs, best {min(runs):.6f} s, spread {kernels[name]['spread']:.1%}")
     report = {
         "label": args.label,
         "size": size,

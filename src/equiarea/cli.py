@@ -4,6 +4,10 @@ Thin adapters only: every subcommand parses flags, calls one library
 function, and prints CSV or JSON. Exit codes: 0 success, 1 for a violated
 structural invariant (a counterexample, not a bug in the invocation), 2 for
 usage or input-file errors.
+
+The curve commands (`curve`, `reconstruct`, `bezout`, `k310-scan`) import
+`curves`, and with it `polynomial`, when they run, so the counting commands
+and `--help` start without them.
 """
 
 from __future__ import annotations
@@ -24,16 +28,6 @@ from .counting import (
     matching_count,
     scaling_experiment,
     tally_by_richness,
-)
-from .curves import (
-    BivariateCubic,
-    CurveError,
-    NonSimpleFactorUnsupported,
-    asymptotes,
-    bezout_scan,
-    k310_scan,
-    match_curve,
-    reconstruct_generators,
 )
 from .geometry import GeometryError, InvariantViolation, parse_rational
 from .incidence import incidence_stats, rich_lines
@@ -115,15 +109,17 @@ def cmd_tally(args: argparse.Namespace) -> int:
 
 
 def _curve_document(pair1: IncidencePairParam, pair2: IncidencePairParam) -> dict:
-    case = match_curve(pair1, pair2)
+    from . import curves
+
+    case = curves.match_curve(pair1, pair2)
     doc: dict = {"case": case.tag.value, "coefficients": None, "bundle": None, "asymptotes": None}
     if case.curve is None:
         return doc
     doc["coefficients"] = case.curve.coefficient_list()
     doc["bundle"] = {name: [str(c) for c in v] if isinstance(v, tuple) else str(v) for name, v in case.bundle.items()}
     try:
-        doc["asymptotes"] = [[l.A, l.B, l.C] for l in asymptotes(case.curve)]
-    except NonSimpleFactorUnsupported as exc:
+        doc["asymptotes"] = [[l.A, l.B, l.C] for l in curves.asymptotes(case.curve)]
+    except curves.NonSimpleFactorUnsupported as exc:
         log.warning("asymptotes unavailable: %s", exc)
     return doc
 
@@ -137,6 +133,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    from . import curves
+
     try:
         doc = json.loads(read_text(args.input))
     except json.JSONDecodeError as exc:
@@ -147,8 +145,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         entries = doc["coefficients"] if isinstance(doc, dict) else doc
         if entries is None:
             raise ValueError('"coefficients" is null: the document holds no curve')
-        q1, q2 = reconstruct_generators(BivariateCubic.from_coefficient_list(entries))
-    except (ValueError, CurveError) as exc:
+        q1, q2 = curves.reconstruct_generators(curves.BivariateCubic.from_coefficient_list(entries))
+    except (ValueError, curves.CurveError) as exc:
         raise ValueError(f"{args.input}: {exc}") from exc
     for q in (q1, q2):
         print(f"{q.a} {q.b} {q.kappa}")
@@ -156,7 +154,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    report = args.scan(args.trials, args.seed, args.threads)
+    from . import curves
+
+    report = getattr(curves, args.scan)(args.trials, args.seed, args.threads)
     print(f"trials,{args.column},violations")
     print(f"{report.trials},{report.max_value},{report.violations}")
     if report.violations:
@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     for name, help_text, scan, column, violation in (
-        ("bezout", "random curve-pair intersection scan", bezout_scan,
+        ("bezout", "random curve-pair intersection scan", "bezout_scan",
          "max_upper_bound", "curve pairs exceeded 9 intersections"),
-        ("k310-scan", "random surface-triple incidence scan", k310_scan,
+        ("k310-scan", "random surface-triple incidence scan", "k310_scan",
          "max_common_points", "surface triples exceeded 9 common points"),
     ):
         p = sub.add_parser(name, help=help_text)

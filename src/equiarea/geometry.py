@@ -49,17 +49,18 @@ class InvariantViolation(Exception):
     """
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only: `\d` also matches other scripts' digits, which Fraction reads.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'n' or 'n/d' into an exact Fraction.
+    """Parse 'n' or 'n/d', in ASCII digits, into an exact Fraction.
 
     Decimal notation is rejected on purpose: it would invite silent precision
     loss at the boundary of an exact kernel.
     """
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational 'n' or 'n/d': {text!r}")
     return Fraction(s)
 

@@ -443,6 +443,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "0.5")
         assert code == 2 and "rational" in err
 
+    def test_non_ascii_digits_cite_line(self, capsys, tmp_path):
+        # A fullwidth zero on line 1 and an Arabic-Indic one on line 3.
+        path = tmp_path / "digits.txt"
+        path.write_text("\uff10 0\n1 0\n0 \u0661\n", encoding="utf-8")
+        code, out, err = run(capsys, "count", "--input", str(path), "--area", "1/2")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{path}:1: not a rational")
+
+    def test_non_ascii_area_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "count", "--input", write_square(tmp_path), "--area", "\u0663")
+        assert (code, out) == (2, "") and "rational" in err
+
     @pytest.mark.parametrize("document", list(MALFORMED_CURVE_MESSAGES))
     def test_malformed_curve_document_exits_two(self, capsys, tmp_path, document):
         path = tmp_path / "curve.json"

@@ -45,6 +45,22 @@ class TestRationalParsing:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    # The ASCII forms the point files, areas and pairs of the tests use.
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", 0), ("+0", 0), ("-0", 0), ("1/2", F(1, 2)), ("-7/2", F(-7, 2)), ("+7/2", F(7, 2)),
+         ("2/4", F(1, 2)), ("-1/3", F(-1, 3)), ("007", 7), ("5000000000000000000000", 5 * 10**21),
+         (" 12\t", 12), ("1/2\n", F(1, 2))],
+    )
+    def test_ascii_forms_parse(self, text, value):
+        assert parse_rational(text) == value
+
+    # Other scripts' digits: fullwidth, Arabic-Indic, Devanagari, and mixed.
+    @pytest.mark.parametrize("bad", ["\uff10", "\u0661", "\u0663", "\uff11/\uff12", "1/\u0662", "\u0969", "1\uff10"])
+    def test_rejects_non_ascii_digits(self, bad):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
     @given(st.fractions(max_denominator=1000), st.fractions(max_denominator=1000))
     def test_fraction_arithmetic_is_exact(self, a, b):
         assert (a + b) - b == a

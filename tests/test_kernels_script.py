@@ -24,7 +24,7 @@ def test_quick_runs_repeat_their_digests(tmp_path):
             "real_and_rational_roots", "rational_factors", "nearest_real_root",
             "_row_runs short", "_row_runs long", "_run_count short", "_run_count long", "_class_sum",
             "scaling_experiment long", "_count wide grid", "_count tall grid", "_count square grid",
-            "_count parallel lines", "_count transposed section", "_count square grid, no area",
+            "_count parallel lines", "_count transposed section", "_count square grid, no area", "cold start",
         }
         for kernel in report["kernels"].values():
             assert set(kernel) == {"inputs", "best_s", "median_s", "runs_s", "spread", "digest"}
