@@ -1,5 +1,6 @@
-"""Kernel timings for the univariate root kit of `equiarea.polynomial` and
-the census of `equiarea.incidence`.
+"""Kernel timings for the univariate root kit and the resultant of
+`equiarea.polynomial`, the census of `equiarea.incidence`, the matching
+count of `equiarea.matching` and the reconstruction of `equiarea.curves`.
 
 Usage, from any directory:
 
@@ -8,7 +9,8 @@ Usage, from any directory:
 Times each kernel on the inputs its callers hand it, as best of 5 runs,
 with the 5 times and their spread, (max - min) / best:
 
-- `real_and_rational_roots` on the resultants of seeded `_bezout_trial` pairs;
+- `real_and_rational_roots` on the resultants of seeded `_bezout_trial` pairs,
+  and `sylvester_resultant_y` on the sheared cubic pairs of the same trials;
 - `rational_factors` on the leading-form profiles of curves from
   `random_general_position_pair`;
 - `nearest_real_root` on the sections of the asymptote probe;
@@ -28,6 +30,15 @@ with the 5 times and their spread, (max - min) / best:
   lattice section of n = 1600 with x and y swapped, and
   `_count square grid, no area` on `gen_grid(30, 30)` with no area (with
   --quick: 8x50, 50x8 and 20x20 grids, 10 lines of 25, n = 400 and 15x15);
+- the branches `_count` routes to, with the line sizes at 2A = 2:
+  `_pencil_count` on `gen_random(200, 7, 1)` and `_pair_count` on the
+  scaling experiment's random set of n = 400, `_random_pairs(400, 42, 400)`
+  (with --quick, `gen_random(60, 4, 1)` and the random set of n = 100);
+- the matching count at area 1/2 and k = 2: `probe_matching_on_lines`
+  without q in S on the lattice section of n = 100, and
+  `join_matching_on_lines` with q in S on that of n = 200 (40 and 60 with
+  --quick), on their rich tables, built outside the timed region;
+- `reconstruct_generators` on the curves of `random_general_position_pair`;
 - `cold start`, `import equiarea.cli` timed inside each of 5 fresh
   interpreters. Each imports a copy of src/equiarea without `__pycache__`,
   with -B, so it compiles the package from source, as every process does
@@ -35,7 +46,7 @@ with the 5 times and their spread, (max - min) / best:
   root parser and of each subcommand, at 80 columns, so equal digests show
   an unchanged CLI surface.
 
-The root-kit and class-sum inputs are recorded by calling the curve code or
+The root-kit, resultant and class-sum inputs are recorded by calling the curve code or
 the census once with the kernel wrapped, outside the timed region. The
 package is imported from src/ of this checkout. The script writes
 BENCH_<label>.json in the current directory, with a sha256 digest of the
@@ -59,12 +70,13 @@ import tempfile
 import time
 from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from equiarea import counting, curves, incidence, polynomial  # noqa: E402
+from equiarea import counting, curves, incidence, matching, polynomial  # noqa: E402
 
 RUNS = 5
 SEED = 1
@@ -79,6 +91,9 @@ ROUTING_SIZES = {
     "full": ((16, 100), (100, 16), (40, 40), (20, 50), 1600, (30, 30)),
     "quick": ((8, 50), (50, 8), (20, 20), (10, 25), 400, (15, 15)),
 }
+# (pencils' random set as (n, bound), pair table's scaling n, probe's and
+# join's lattice n)
+BRANCH_SIZES = {"full": ((200, 7), 400, 100, 200), "quick": ((60, 4), 100, 40, 60)}
 
 
 def recorded(name: str, run, module=curves) -> list[tuple]:
@@ -120,6 +135,7 @@ def inputs(size: str) -> dict[str, list[tuple]]:
 
     return {
         "real_and_rational_roots": recorded("real_and_rational_roots", scan),
+        "sylvester_resultant_y": recorded("sylvester_resultant_y", scan),
         "rational_factors": recorded("rational_factors", profiles),
         "nearest_real_root": recorded("nearest_real_root", probes),
     }
@@ -172,6 +188,27 @@ def routing_kernels(size: str) -> dict[str, tuple]:
         "_count square grid, no area": (counting._grid_pairs(*unsized), None),
     }
     return {name: (with_sizes, [(incidence._count, sorted(pts), twice)]) for name, (pts, twice) in sets.items()}
+
+
+def branch_kernels(size: str) -> dict[str, tuple]:
+    """Census branch, matching and reconstruction kernel name -> (kernel,
+    calls); pairs are sorted, rich tables built and curves derived outside
+    the timed region."""
+    (pencil_n, bound), pair_n, probe_n, join_n = BRANCH_SIZES[size]
+    pencil_pts = sorted(counting._random_pairs(pencil_n, bound, 1))
+    # The scaling experiment's random set of n, at seed 0: seed n.
+    pair_pts = sorted(counting._generate("random", pair_n, pair_n))
+    probe_pts, join_pts = (sorted(counting._lattice_pairs(n)) for n in (probe_n, join_n))
+    half = Fraction(1, 2)
+    return {
+        "_pencil_count": (with_sizes, [(incidence._pencil_count, pencil_pts, 2)]),
+        "_pair_count": (with_sizes, [(incidence._pair_count, pair_pts, 2)]),
+        "probe_matching_on_lines": (matching.probe_matching_on_lines, [(incidence.rich_table(probe_pts, 2), half)]),
+        "join_matching_on_lines": (matching.join_matching_on_lines,
+                                   [(incidence.rich_table(join_pts, 2), half, set(join_pts))]),
+        "reconstruct_generators": (curves.reconstruct_generators,
+                                   [(cubic,) for cubic in general_curves(SIZES[size][1])]),
+    }
 
 
 # The cold-start child: argv[1] is the src/ directory to import from.
@@ -253,6 +290,7 @@ def main(argv=None) -> int:
     timed = {name: (getattr(polynomial, name), calls) for name, calls in inputs(size).items()}
     timed.update(census_kernels(size))
     timed.update(routing_kernels(size))
+    timed.update(branch_kernels(size))
     runners = {name: (len(calls), timed_calls(kernel, calls)) for name, (kernel, calls) in timed.items()}
     runners["cold start"] = (1, cold_start)
     for name, (n_inputs, run) in runners.items():

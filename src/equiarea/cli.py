@@ -29,7 +29,7 @@ from .counting import (
     scaling_experiment,
     tally_by_richness,
 )
-from .geometry import GeometryError, InvariantViolation, parse_rational
+from .geometry import GeometryError, InvariantViolation, parse_int, parse_rational
 from .incidence import incidence_stats, rich_lines
 from .matching import IncidencePairParam
 from .pointset import PointFileError, read_points, read_text
@@ -43,6 +43,14 @@ def _parse_pair(text: str) -> IncidencePairParam:
         raise ValueError(f"expected 'a,b,kappa', got {text!r}")
     a, b, kappa = (parse_rational(p) for p in parts)
     return IncidencePairParam.from_triple(a, b, kappa)
+
+
+def _int_flag(text: str) -> int:
+    """`parse_int` as the type of every integer flag, failing with argparse's message for `int`."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -62,7 +70,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         points = gen_grid(args.rows, args.cols)
     else:
         points = gen_parallel_lines(args.lines, args.per_line, args.spacing)
-    _write_output("".join(f"{p.x} {p.y}\n" for p in points), args.out)
+    _write_output("".join(f"{x} {y}\n" for x, y in points), args.out)
     return 0
 
 
@@ -170,7 +178,7 @@ def _parse_sizes(text: str) -> list[int]:
     sizes = []
     for index, field in enumerate(text.split(","), start=1):
         try:
-            sizes.append(int(field))
+            sizes.append(parse_int(field))
         except ValueError:
             raise ValueError(f"--sizes field {index} is not an integer: {field!r}") from None
     return sizes
@@ -193,14 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a point set")
     p.add_argument("--kind", choices=("lattice", "random", "grid", "parallel"), required=True)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=12)
-    p.add_argument("--rows", type=int, default=3)
-    p.add_argument("--cols", type=int, default=3)
-    p.add_argument("--lines", type=int, default=3)
-    p.add_argument("--per-line", type=int, default=5)
-    p.add_argument("--spacing", type=int, default=1)
+    for flag, default in (("--n", 16), ("--seed", 0), ("--bound", 12), ("--rows", 3), ("--cols", 3),
+                          ("--lines", 3), ("--per-line", 5), ("--spacing", 1)):
+        p.add_argument(flag, type=_int_flag, default=default)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -210,28 +213,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "pairline"), default="pairline")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("rich-lines", help="list lines holding at least k points")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.set_defaults(func=cmd_rich_lines)
-
-    p = sub.add_parser("stats", help="rich-line and incidence statistics")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("matching", help="count ordered matching pairs")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--area", default="1")
-    p.add_argument("--require-q-in-s", action="store_true")
-    p.set_defaults(func=cmd_matching)
-
-    p = sub.add_parser("tally", help="richness tally of fixed-area triangles")
-    p.add_argument("--input", required=True)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--area", default="1")
-    p.set_defaults(func=cmd_tally)
+    on_file = {}
+    for name, help_text, func in (
+        ("rich-lines", "list lines holding at least k points", cmd_rich_lines),
+        ("stats", "rich-line and incidence statistics", cmd_stats),
+        ("matching", "count ordered matching pairs", cmd_matching),
+        ("tally", "richness tally of fixed-area triangles", cmd_tally),
+    ):
+        p = on_file[name] = sub.add_parser(name, help=help_text)
+        p.add_argument("--input", required=True)
+        p.add_argument("--k", type=_int_flag, default=2)
+        p.set_defaults(func=func)
+    on_file["matching"].add_argument("--area", default="1")
+    on_file["matching"].add_argument("--require-q-in-s", action="store_true")
+    on_file["tally"].add_argument("--area", default="1")
 
     p = sub.add_parser("curve", help="derive the match curve of two pairs")
     p.add_argument("--pair1", required=True, metavar="a,b,kappa")
@@ -250,17 +245,17 @@ def build_parser() -> argparse.ArgumentParser:
          "max_common_points", "surface triples exceeded 9 common points"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--trials", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--trials", type=_int_flag, default=500)
+        p.add_argument("--seed", type=_int_flag, default=0)
+        p.add_argument("--threads", type=_int_flag, default=1)
         p.set_defaults(func=cmd_scan, scan=scan, column=column, violation=violation)
 
     p = sub.add_parser("scaling", help="size sweep with the pair-line counter")
     p.add_argument("--kind", choices=("lattice", "random", "grid", "parallel"), default="lattice")
     p.add_argument("--sizes", default="100,200,400,800")
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=_int_flag, default=2)
     p.add_argument("--area", default=None, help="target area; defaults to 1/2 for lattice, 1 otherwise")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_flag, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scaling)
 

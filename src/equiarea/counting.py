@@ -38,14 +38,14 @@ class Unsatisfiable(GeometryError):
     """The requested random configuration cannot exist."""
 
 
-def count_brute(points: Sequence[Point], area: Fraction | int) -> int:
+def count_brute(points: Sequence, area: Fraction | int) -> int:
     """Reference oracle: test all triples for |signed area| equal to the target."""
     area = check_area(area)
     check_distinct(points)
     target = 2 * area
     neg = -target
     # Read without integer_points, so that this oracle shares no code with the kernel.
-    pts = [tuple(int(c) if c.denominator == 1 else c for c in (p.x, p.y)) for p in points]
+    pts = [tuple(int(c) if c.denominator == 1 else c for c in (x, y)) for x, y in points]
     count = 0
     for (ax, ay), (bx, by), (cx, cy) in combinations(pts, 3):
         cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
@@ -58,7 +58,7 @@ def count_brute(points: Sequence[Point], area: Fraction | int) -> int:
 MODE_AREA_SIZE_LIMIT = 300
 
 
-def mode_area(points: Sequence[Point]) -> tuple[Fraction, int]:
+def mode_area(points: Sequence) -> tuple[Fraction, int]:
     """The most repeated triangle area and its count, by full enumeration.
 
     The fixed-area experiments track one chosen area; this reports which area
@@ -98,7 +98,7 @@ class MatchingIdentityReport:
 
 
 def matching_count(
-    points: Sequence[Point], k: int, area: Fraction | int, require_q_in_s: bool = True
+    points: Sequence, k: int, area: Fraction | int, require_q_in_s: bool = True
 ) -> tuple[int, int]:
     """(N, M): incidences on k-rich lines, and ordered counterclockwise matching
     pairs among them (with require_q_in_s, only those whose third vertex is in
@@ -112,7 +112,7 @@ def matching_count(
 
 
 def matching_identity_check(
-    points: Sequence[Point], k: int, area: Fraction | int = 1
+    points: Sequence, k: int, area: Fraction | int = 1
 ) -> MatchingIdentityReport:
     """Check M = 3*T3 + T2 on one point set.
 
@@ -259,9 +259,9 @@ def scaling_experiment(
     of the size's sorted integer pairs at scale 1, with no `Point` built and
     no hash set: the census raises DuplicatePoints on a repeated pair.
 
-    Only for sizes up to MATCHING_SIZE_LIMIT are `Point`s built, for the
-    matching count and richness tally, whose total must equal the count;
-    above it their CSV cells stay blank. For lattice sections count/n^2 is a
+    For sizes up to MATCHING_SIZE_LIMIT the same pairs go to
+    `matching_identity_check`, whose tally total must equal the count; above
+    it the matching CSV cells stay blank. For lattice sections count/n^2 is a
     trend, not a theorem (a section's last row fills in gradually): a drop
     from one size to the next is logged as a warning.
     """
@@ -277,7 +277,7 @@ def scaling_experiment(
         count, stats = census_of_pairs(pts, 1, k, area)
         m_val, tally = None, (None,) * 4
         if n <= MATCHING_SIZE_LIMIT:
-            report = matching_identity_check([Point(x, y) for x, y in pts], k, area)
+            report = matching_identity_check(pts, k, area)
             if not report.holds:
                 raise InvariantViolation(f"matching identity failed at n={n}")
             if report.tally.total != count:

@@ -132,9 +132,6 @@ class BivariateCubic:
             g = -g
         return cls(tuple(c // g for c in ints) if g else tuple(ints))
 
-    def coeff(self, i: int, j: int) -> int:
-        return self.coeffs[MONOMIALS.index((i, j))]
-
     def evaluate(self, x: Fraction | int, y: Fraction | int) -> Fraction:
         (xn, yn), w = cleared((Fraction(x), Fraction(y)))
         return Fraction(cubic_value(self.coeffs, xn, yn, w), w**3)
@@ -521,15 +518,15 @@ def curve_intersection_bound(f: BivariateCubic, g: BivariateCubic) -> CurveInter
         t += 1
     fs, gs = (substitute(c, (1, t, 0), (0, 1, 0)) for c in (fc, gc))
     resultant = sylvester_resultant_y(fs, gs)
-    if not resultant.coeffs:
+    if not resultant:
         raise InfiniteSharedComponent("curves share a component")
-    upper, roots = real_and_rational_roots(resultant.coeffs)
+    upper, roots = real_and_rational_roots(resultant)
     points = set()
     for x0 in roots:
         common = poly_gcd(*(x_section(c, x0.numerator, x0.denominator) for c in (fs, gs)))
         for y0 in rational_roots(common):
             candidate = Point(x0 + t * y0, y0)
-            if f.evaluate(candidate.x, candidate.y) == 0 and g.evaluate(candidate.x, candidate.y) == 0:
+            if f.evaluate(*candidate) == 0 and g.evaluate(*candidate) == 0:
                 points.add(candidate)
     return CurveIntersection(upper, tuple(sorted(points)))
 
@@ -563,8 +560,7 @@ def triple_common_points(
     inter = curve_intersection_bound(c12.curve, c13.curve)
     a, b, k = gens[0].a, gens[0].b, gens[0].kappa
     witnesses = []
-    for pt in inter.rational_points:
-        x, y = pt.x, pt.y
+    for x, y in inter.rational_points:
         l1v = y - b - k * (x - a)
         den = l1v * (x - a) + 2
         if den == 0:
@@ -622,9 +618,7 @@ def _random_fraction(rng: random.Random, bound: int) -> Fraction:
 
 
 def random_incidence_pair(rng: random.Random, bound: int = 4) -> IncidencePairParam:
-    return IncidencePairParam.from_triple(
-        _random_fraction(rng, bound), _random_fraction(rng, bound), _random_fraction(rng, bound)
-    )
+    return IncidencePairParam(*(_random_fraction(rng, bound) for _ in range(3)))
 
 
 def random_general_position_pair(

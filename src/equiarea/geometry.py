@@ -49,8 +49,9 @@ class InvariantViolation(Exception):
     """
 
 
-# ASCII digits only: `\d` also matches other scripts' digits, which Fraction reads.
+# ASCII digits only: `\d` also matches other scripts' digits, which Fraction and int read.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[1-9][0-9]*)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -65,9 +66,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
+def parse_int(text: str) -> int:
+    """Parse '[+-]n' in ASCII digits, with no `_` separators, into an int."""
+    s = text.strip()
+    if not _INTEGER_RE.fullmatch(s):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(s)
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class Point:
-    """Immutable exact point; orders lexicographically by (x, y)."""
+    """Immutable exact point; orders lexicographically by (x, y), and unpacks as that pair."""
 
     x: Fraction
     y: Fraction
@@ -77,6 +86,9 @@ class Point:
             object.__setattr__(self, "x", Fraction(self.x))
         if not isinstance(self.y, Fraction):
             object.__setattr__(self, "y", Fraction(self.y))
+
+    def __iter__(self):
+        return iter((self.x, self.y))
 
     def __str__(self) -> str:
         return f"{self.x} {self.y}"
@@ -162,14 +174,14 @@ def intersect(l1: Line, l2: Line) -> Point:
     return Point(x, y)
 
 
-def shear(points: Sequence[Point], t: Fraction) -> list[Point]:
-    """Apply (x, y) -> (x + t*y, y) to every point.
+def shear(points: Sequence, t: Fraction) -> list[Point]:
+    """Apply (x, y) -> (x + t*y, y) to every point or (x, y) pair.
 
     The map is unimodular, so every signed_area2 value (and hence every
     fixed-area count) is preserved exactly, as is collinearity.
     """
     t = Fraction(t)
-    return [Point(p.x + t * p.y, p.y) for p in points]
+    return [Point(x + t * y, y) for x, y in points]
 
 
 def check_distinct(points: Sequence) -> None:
@@ -185,26 +197,30 @@ def check_area(area: Fraction | int) -> Fraction:
 
 
 def cleared(values: Iterable[Fraction | int]) -> tuple[list[int], int]:
-    """Clear denominators once: integers n_i and the lcm d of the
-    denominators, with value_i = n_i / d. The package's one lcm."""
+    """Clear denominators once: integers n_i and the lcm d of the denominators, with
+    value_i = n_i / d. The package's one lcm; a value not an int or Fraction raises TypeError."""
     values = list(values)
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"coordinate {v!r} is not an int or a Fraction")
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def integer_points(points: Sequence[Point]) -> tuple[list[tuple[int, int]], list[Point], int]:
-    """The points `cleared` to integer pairs, and L.
+def integer_points(points: Sequence) -> tuple[list[tuple[int, int]], list, int]:
+    """The points, `Point`s or (x, y) pairs of ints and Fractions, `cleared` to integer pairs, and L.
 
     L is the lcm of every coordinate denominator, so (L*x, L*y) is an integer
     pair. Scaling by L multiplies every signed area by L^2 and keeps
     collinearity and the lexicographic order. The pairs come back sorted, with
     the caller's points in the same order; repeats raise DuplicatePoints.
     """
-    coords, scale = cleared([c for p in points for c in (p.x, p.y)])
-    keyed = sorted(zip(zip(coords[::2], coords[1::2]), points))
-    pts = [pair for pair, _ in keyed]
-    check_distinct(pts)
-    return pts, [p for _, p in keyed], scale
+    points = list(points)  # read twice below, which would leave an iterator empty
+    coords, scale = cleared([c for x, y in points for c in (x, y)])
+    pairs = list(zip(coords[::2], coords[1::2]))
+    check_distinct(pairs)
+    keyed = sorted(zip(pairs, points))
+    return [pair for pair, _ in keyed], [p for _, p in keyed], scale
 
 
 def shear_denominator(pts: Sequence[tuple[int, int]]) -> int:
@@ -221,11 +237,11 @@ def shear_denominator(pts: Sequence[tuple[int, int]]) -> int:
     return j
 
 
-def find_shear(points: Sequence[Point]) -> Fraction:
+def find_shear(points: Sequence) -> Fraction:
     """Smallest t in 0, 1, 1/2, 1/3, ... leaving no spanned line vertical,
     by `shear_denominator` on the cleared points, which must be distinct."""
-    pts = list(points)
+    pts = integer_points(points)[0]
     if len(pts) < 2:
         raise GeometryError("need at least two points")
-    j = shear_denominator(integer_points(pts)[0])
+    j = shear_denominator(pts)
     return Fraction(1, j) if j else Fraction(0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .geometry import DuplicatePoints, GeometryError, InvariantViolation, Line, Point, check_area, integer_points
+from .geometry import DuplicatePoints, GeometryError, InvariantViolation, Line, check_area, integer_points
 from .matching import IncidencePairParam
 
 
@@ -33,7 +33,7 @@ class SpannedLine:
     """A line through at least two input points, with its members sorted."""
 
     line: Line
-    members: tuple[Point, ...]
+    members: tuple
 
 
 def pair_lines(pts: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int, tuple[int, int, int]]]:
@@ -117,19 +117,19 @@ def incidence_param(key: tuple[int, int, int], point: tuple[int, int], scale: in
     return IncidencePairParam(Fraction(x, scale), Fraction(y, scale), Fraction(q, p))
 
 
-def spanned_lines(points: Sequence[Point]) -> list[SpannedLine]:
+def spanned_lines(points: Sequence) -> list[SpannedLine]:
     """Every line through >= 2 points, sorted by canonical form."""
     return rich_lines(points, 2)
 
 
-def rich_lines(points: Sequence[Point], k: int) -> list[SpannedLine]:
+def rich_lines(points: Sequence, k: int) -> list[SpannedLine]:
     """Spanned lines holding at least k points."""
     pts, originals, scale = integer_points(points)
     original = dict(zip(pts, originals))
     return [SpannedLine(key_line(key, scale), tuple(map(original.get, on))) for key, on in ordered_table(pts, k, scale)]
 
 
-def incidence_pairs(points: Sequence[Point], k: int) -> list[IncidencePairParam]:
+def incidence_pairs(points: Sequence, k: int) -> list[IncidencePairParam]:
     """One parametrized pair per (rich line, member point), in `ordered_table` order.
 
     Every rich line must be sloped; run the point set through a shear first if
@@ -575,13 +575,13 @@ def census_of_pairs(pts: Sequence[tuple[int, int]], scale: int, k: int,
     return count, stats_from_sizes(len(pts), k, sizes)
 
 
-def census(points: Sequence[Point], k: int, area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
+def census(points: Sequence, k: int, area: Fraction | int | None = None) -> tuple[int, IncidenceStats]:
     """`census_of_pairs` of the points, cleared by `integer_points`."""
     pts, _, scale = integer_points(points)
     return census_of_pairs(pts, scale, k, area)
 
 
-def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
+def incidence_stats(points: Sequence, k: int) -> IncidenceStats:
     """Rich-line count m, incidence count N, and their scaling ratios, from
     the `census` with no area. The two ratios are reported for trend
     inspection, never asserted.
@@ -589,7 +589,7 @@ def incidence_stats(points: Sequence[Point], k: int) -> IncidenceStats:
     return census(points, k)[1]
 
 
-def count_pairline(points: Sequence[Point], area: Fraction | int) -> int:
+def count_pairline(points: Sequence, area: Fraction | int) -> int:
     """The number of area-`area` triangles, exactly `counting.count_brute`'s.
 
     A base's third vertex lies on one of its two parallel lines at the area's
@@ -615,7 +615,7 @@ class RichnessTally:
         return self.T0 + self.T1 + self.T2 + self.T3
 
 
-def tally_by_richness(points: Sequence[Point], k: int, area: Fraction | int = 1) -> RichnessTally:
+def tally_by_richness(points: Sequence, k: int, area: Fraction | int = 1) -> RichnessTally:
     """Classify every area-A triangle by its number of k-rich top lines.
 
     Stores every base (i, j, value, offset) by direction, in O(n^2 + T) for

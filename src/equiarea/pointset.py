@@ -64,7 +64,4 @@ def read_points(path: str | Path) -> list[Point]:
 
 
 def write_points(path: str | Path, points: Sequence[Point]) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for p in points:
-            fh.write(f"{p.x} {p.y}\n")
+    Path(path).write_text("".join(f"{x} {y}\n" for x, y in points), encoding="utf-8")

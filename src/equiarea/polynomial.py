@@ -25,19 +25,16 @@ from typing import Iterable, Sequence
 from .geometry import InvariantViolation
 
 
-class UnivariatePoly:
+class UnivariatePoly(tuple):
     """The exact integer coefficients of a resultant, low degree first,
-    without trailing zeros."""
+    without trailing zeros: a tuple the root kit takes as it is."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        self.coeffs = coeffs
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -442,4 +439,4 @@ def sylvester_resultant_y(f: Sequence[int], g: Sequence[int]) -> UnivariatePoly:
         raise InvariantViolation("interpolated resultant is not integral")
     while total and not total[-1]:
         total.pop()
-    return UnivariatePoly(tuple(c // fact for c in total))
+    return UnivariatePoly(c // fact for c in total)

@@ -41,7 +41,7 @@ class UnivariatePoly:
 
     @classmethod
     def of(cls, p: polynomial.UnivariatePoly) -> "UnivariatePoly":
-        return cls(p.coeffs)
+        return cls(p)
 
     def ints(self) -> list[int]:
         """The coefficients with denominators cleared: the integer sequence

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from equiarea.cli import main
+from equiarea import counting, curves
+from equiarea.cli import _int_flag, build_parser, main
+from equiarea.counting import MatchingIdentityReport, RichnessTally
 from equiarea.curves import match_curve
 from equiarea.matching import IncidencePairParam
 
@@ -258,6 +261,13 @@ class TestScans:
             _, parallel, _ = run(capsys, scan, "--trials", "6", "--seed", "1", "--threads", "2")
             assert serial == parallel
 
+    def test_a_bound_above_nine_exits_one(self, capsys, monkeypatch):
+        # Exit 1 means a counterexample: here one trial reports 10 intersections.
+        monkeypatch.setattr(curves, "_bezout_trial", lambda seed, index: (10, True) if index == 1 else (4, False))
+        code, out, err = run(capsys, "bezout", "--trials", "3")
+        assert (code, out) == (1, "trials,max_upper_bound,violations\n3,10,1\n")
+        assert err == "invariant violated: 1 curve pairs exceeded 9 intersections\n"
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     @pytest.mark.parametrize("scan", ["bezout", "k310-scan"])
     def test_threads_below_one_exit_two(self, capsys, scan, threads):
@@ -293,10 +303,27 @@ class TestScaling:
             ("100,,200", "--sizes field 2 is not an integer: ''"),
             ("100,200,", "--sizes field 3 is not an integer: ''"),
             ("100,2e2", "--sizes field 2 is not an integer: '2e2'"),
+            # int() reads other scripts' digits and `_` separators; the flag does not.
+            ("\u0661\u0660,2_0", "--sizes field 1 is not an integer: '\u0661\u0660'"),
+            ("10,2_0", "--sizes field 2 is not an integer: '2_0'"),
         ],
     )
     def test_bad_size_field_exits_two(self, capsys, sizes, message):
         assert run(capsys, "scaling", "--sizes", sizes) == (2, "", f"error: {message}\n")
+
+    def test_sizes_keep_their_ascii_forms(self, capsys):
+        def rows(sizes):
+            code, out, err = run(capsys, "scaling", "--kind", "random", "--sizes", sizes)
+            assert (code, err) == (0, "")
+            return [line.rsplit(",", 2)[0] for line in out.splitlines()]
+
+        assert rows(" 8,+12 ") == rows("8,12")
+
+    def test_a_failed_identity_exits_one(self, capsys, monkeypatch):
+        failed = MatchingIdentityReport(1, 0, 0, False, RichnessTally(0, 0, 0, 0))
+        monkeypatch.setattr(counting, "matching_identity_check", lambda points, k, area: failed)
+        code, out, err = run(capsys, "scaling", "--sizes", "8")
+        assert (code, out, err) == (1, "", "invariant violated: matching identity failed at n=8\n")
 
     @pytest.mark.parametrize("kind, size", [("lattice", -3), ("random", -1), ("grid", -3), ("parallel", -1)])
     def test_negative_size_exits_two(self, capsys, kind, size):
@@ -469,6 +496,10 @@ class TestErrorPaths:
         code, out, err = run(capsys, "reconstruct", "--in", str(path))
         assert (code, out, err) == (2, "", f"error: {path}: {NOT_A_MATCH_CURVE_MESSAGES[document]}\n")
 
+    def test_short_pair_exits_two(self, capsys):
+        code, out, err = run(capsys, "curve", "--pair1", "1,2", "--pair2", "0,0,1")
+        assert (code, out, err) == (2, "", "error: expected 'a,b,kappa', got '1,2'\n")
+
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["count", "--nope"])
@@ -479,3 +510,51 @@ class TestErrorPaths:
         _, a, _ = run(capsys, "stats", "--input", square, "--k", "2")
         _, b, _ = run(capsys, "stats", "--input", square, "--k", "2")
         assert a == b
+
+
+# sha256 of every parser's --help at 80 columns, root first, pinned on Python 3.11
+# (argparse's layout differs between versions) from the parser as it was when
+# each integer flag had `type=int`.
+HELP_DIGEST = "0fcfbcd415c778d6c0ee8dcf8f27ac8ae576b3dce55512382f696354f5cacb81"
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bezout", "--trials", "\u0663"),
+            ("bezout", "--trials", "abc"),
+            ("k310-scan", "--seed", "1_0"),
+            ("rich-lines", "--input", "points.txt", "--k", "\u0663"),
+            ("gen", "--kind", "grid", "--rows", "1_0"),
+            ("scaling", "--k", "\uff12"),
+        ],
+    )
+    def test_other_digits_and_separators_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[-2]}: invalid int value: {argv[-1]!r}\n")
+
+    def test_ascii_forms_parse_as_before(self, capsys):
+        assert run(capsys, "gen", "--kind", "grid", "--rows", " 2", "--cols", "+2") == run(
+            capsys, "gen", "--kind", "grid", "--rows", "2", "--cols", "2")
+        code, out, _ = run(capsys, "bezout", "--trials", "+2", "--seed", "-0")
+        assert (code, out.splitlines()[1].split(",")[0]) == (0, "2")
+
+    def test_every_integer_flag_has_the_ascii_type(self):
+        parser = build_parser()
+        (commands,) = parser._subparsers._group_actions
+        flags = [action for command in commands.choices.values() for action in command._actions
+                 if isinstance(action.default, int) and not isinstance(action.default, bool)]
+        assert len(flags) == 20  # gen 8, four --k, the scans 3 each, scaling 2
+        assert {action.type for action in flags} == {_int_flag}
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout pinned on Python 3.11")
+    def test_help_is_unchanged(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = build_parser()
+        (commands,) = parser._subparsers._group_actions
+        text = "".join(p.format_help() for p in (parser, *commands.choices.values()))
+        assert hashlib.sha256(text.encode()).hexdigest() == HELP_DIGEST

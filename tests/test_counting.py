@@ -346,19 +346,24 @@ class TestScalingExperiment:
         with pytest.raises(ValueError):
             scaling_experiment("lattice", [32, 16])
 
-    def test_points_are_built_only_for_the_matching_check(self, monkeypatch):
-        def no_point(x, y):
-            raise AssertionError(f"Point({x}, {y}) built")
+    @pytest.mark.parametrize("kind", ["lattice", "random", "grid", "parallel"])
+    def test_no_point_is_built_at_any_size(self, monkeypatch, kind):
+        # Every Point runs __post_init__, wherever it is built; the matching
+        # check below the limit takes the integer pairs as they are.
+        def no_point(point):
+            raise AssertionError(f"Point({point.x}, {point.y}) built")
 
-        expected = [row.csv().split(",") for row in scaling_experiment("lattice", [100, 800])]
-        monkeypatch.setattr(counting, "Point", no_point)
-        rows = [row.csv().split(",") for row in scaling_experiment("lattice", [100, 800])]
-        assert [r[:12] + r[13:] for r in rows] == [r[:12] + r[13:] for r in expected]
+        sizes = [8, 12, MATCHING_SIZE_LIMIT, 100]
+        expected = [row.csv().split(",") for row in scaling_experiment(kind, sizes, seed=2)]
+        monkeypatch.setattr(Point, "__post_init__", no_point)
         with pytest.raises(AssertionError, match="built"):
-            scaling_experiment("lattice", [12])
+            Point(1, 2)
+        rows = scaling_experiment(kind, sizes, seed=2)
         monkeypatch.undo()
-        (row,) = scaling_experiment("lattice", [12])
-        assert row.M == 3 * row.T3 + row.T2 and row.T0 + row.T1 + row.T2 + row.T3 == row.count
+        got = [row.csv().split(",") for row in rows]
+        assert [r[:12] + r[13:] for r in got] == [r[:12] + r[13:] for r in expected]
+        for row in rows[:3]:
+            assert row.M == 3 * row.T3 + row.T2 and row.T0 + row.T1 + row.T2 + row.T3 == row.count
 
     @pytest.mark.parametrize("kind", ["lattice", "random", "grid", "parallel"])
     def test_rows_equal_the_two_kernels(self, kind):

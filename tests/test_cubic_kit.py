@@ -289,15 +289,15 @@ def oracle_intersection(f: BivariateCubic, g: BivariateCubic):
         t += 1
     fs, gs = fp.shear_x(t), gp.shear_x(t)
     resultant = sylvester_resultant_y(fs.slots(), gs.slots())
-    if not resultant.coeffs:
+    if not resultant:
         raise InfiniteSharedComponent("curves share a component")
     points = set()
-    for x0 in rational_roots(resultant.coeffs):
+    for x0 in rational_roots(resultant):
         for y0 in rational_roots(poly_gcd(fs.section_at_x(x0).ints(), gs.section_at_x(x0).ints())):
             candidate = Point(x0 + t * y0, y0)
             if fp.evaluate(candidate.x, candidate.y) == 0 == gp.evaluate(candidate.x, candidate.y):
                 points.add(candidate)
-    return count_real_roots(resultant.coeffs), tuple(sorted(points))
+    return count_real_roots(resultant), tuple(sorted(points))
 
 
 def oracle_probe_section(cubic: BivariateCubic, line: Line, tau: F) -> UnivariatePoly:

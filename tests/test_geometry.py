@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import combinations, permutations
 
@@ -18,9 +20,12 @@ from equiarea.geometry import (
     ParallelLines,
     Point,
     VerticalLine,
+    cleared,
     find_shear,
+    integer_points,
     intersect,
     line_through,
+    parse_int,
     parse_rational,
     shear,
     shear_denominator,
@@ -66,6 +71,28 @@ class TestRationalParsing:
         assert (a + b) - b == a
 
 
+class TestIntegerParsing:
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", 0), ("+3", 3), ("-0", 0), ("-12", -12), ("007", 7), (" 10", 10), ("10\n", 10),
+         ("5000000000000000000000", 5 * 10**21)],
+    )
+    def test_ascii_forms_parse(self, text, value):
+        assert parse_int(text) == value
+
+    # int() reads all of these: other scripts' digits and `_` separators.
+    @pytest.mark.parametrize("bad", ["\u0661\u0660", "\u0663", "\uff12", "1_0", "2_0", "\u0969", "1\uff10"])
+    def test_rejects_what_int_would_read(self, bad):
+        assert int(bad) >= 0
+        with pytest.raises(ValueError, match=f"not an integer: {bad!r}"):
+            parse_int(bad)
+
+    @pytest.mark.parametrize("bad", ["", " ", "1.5", "1/2", "2e2", "+-1", "0x10", "a"])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_int(bad)
+
+
 class TestPoint:
     def test_fraction_coordinates_are_kept(self):
         x, y = F(1, 3), F(-5, 2)
@@ -77,6 +104,40 @@ class TestPoint:
         assert type(p.x) is F and type(p.y) is F
         assert (p.x, p.y) == (1, 2)
         assert Point(1, F(2)) == p and hash(Point(1, F(2))) == hash(p)
+
+    def test_unpacks_as_its_pair(self):
+        x, y = Point(F(1, 3), 2)
+        assert (x, y) == (F(1, 3), 2) and tuple(Point(0, -1)) == (0, -1)
+
+
+class TestIntegerPoints:
+    def test_points_and_pairs_clear_alike(self):
+        points = [Point(F(1, 2), 3), Point(-1, F(2, 3)), Point(0, 0)]
+        pairs = [(F(1, 2), 3), (-1, F(2, 3)), (0, 0)]
+        pts, originals, scale = integer_points(pairs)
+        assert (pts, scale) == ([(-6, 4), (0, 0), (3, 18)], 6) == integer_points(points)[::2]
+        assert originals == [(-1, F(2, 3)), (0, 0), (F(1, 2), 3)]
+
+    def test_a_point_and_its_pair_repeat(self):
+        with pytest.raises(DuplicatePoints):
+            integer_points([Point(1, 2), (0, 0), (1, F(4, 2))])
+
+    @pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), "1", None, 1j])
+    def test_other_coordinates_raise_type_error(self, bad):
+        with pytest.raises(TypeError, match=re.escape(f"coordinate {bad!r} is not an int or a Fraction")):
+            integer_points([(0, 0), (1, bad)])
+        with pytest.raises(TypeError):
+            cleared([F(1, 2), bad])
+
+    def test_an_iterator_is_read_once(self):
+        # Both reads of one iterator used to leave the second empty: no points.
+        pairs = [(0, 0), (1, 0), (0, F(1, 2))]
+        assert integer_points(iter(pairs)) == integer_points(pairs)
+        assert find_shear(p for p in pairs) == find_shear(pairs) == 1
+
+    def test_a_point_is_a_pair(self):
+        with pytest.raises(ValueError):
+            integer_points([(0, 0), (1, 2, 3)])
 
 
 class TestLineCanonicalForm:
@@ -159,6 +220,9 @@ class TestShear:
     def test_zero_is_identity(self):
         pts = [pt(1, 2), pt(-3, F(1, 2))]
         assert shear(pts, F(0)) == pts
+
+    def test_pairs_shear_as_points(self):
+        assert shear([(0, 0), (F(1, 2), 2)], F(1, 4)) == [pt(0, 0), pt(1, 2)]
 
     def test_unit_shear_removes_vertical(self):
         sheared = shear([pt(0, 0), pt(0, 1)], F(1))

@@ -39,6 +39,8 @@ from equiarea.counting import (
     gen_parallel_lines,
     gen_random,
     matching_count,
+    matching_identity_check,
+    mode_area,
     scaling_experiment,
     tally_by_richness,
 )
@@ -70,6 +72,7 @@ from equiarea.incidence import (
     members_from_pairs,
     ordered_table,
     pair_lines,
+    rich_lines,
     rich_table,
     spanned_lines,
     stats_from_sizes,
@@ -417,6 +420,71 @@ def test_matching_probe_equals_sheared_scan(family):
                     assert count(table, area * cleared * cleared, in_s) == expected
 
     check()
+
+
+def _as_pair(point):
+    """A Point's (x, y), each coordinate an int where it is one, else a Fraction."""
+    return tuple(int(c) if c.denominator == 1 else c for c in point)
+
+
+def _outcome(counter, *args):
+    """The counter's value, or the type and message of what it raised."""
+    try:
+        return counter(*args)
+    except Exception as exc:  # a set that spans no triangle has no mode_area
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_counters_take_points_and_pairs_alike(family):
+    """Each counter gives the same value on the Points as on their (x, y)
+    pairs, at every area the oracle tests check; `rich_lines` gives the same
+    lines, each with the caller's pairs as its members."""
+
+    @ORACLES
+    @given(FAMILIES[family], AREAS, st.integers(2, 3))
+    def check(points, drawn, k):
+        pairs = [_as_pair(p) for p in points]
+        for area in _areas_to_check(points, drawn):
+            assert count_pairline(iter(pairs), area) == count_pairline(points, area)
+            for counter, args in (
+                (count_pairline, (area,)),
+                (count_brute, (area,)),
+                (tally_by_richness, (k, area)),
+                (matching_count, (k, area)),
+                (matching_count, (k, -area, False)),
+                (matching_identity_check, (k, area)),
+            ):
+                assert counter(pairs, *args) == counter(points, *args)
+        assert incidence_stats(pairs, k) == incidence_stats(points, k)
+        assert _outcome(mode_area, pairs) == _outcome(mode_area, points)
+        assert find_shear(pairs) == find_shear(points)
+        on_points = [(sl.line, tuple(map(_as_pair, sl.members))) for sl in rich_lines(points, k)]
+        assert [(sl.line, sl.members) for sl in rich_lines(pairs, k)] == on_points
+        sheared = shear(pairs, find_shear(pairs))
+        assert sheared == shear(points, find_shear(points))
+        assert incidence_pairs([_as_pair(p) for p in sheared], k) == incidence_pairs(sheared, k)
+
+    check()
+
+
+FLOAT_COUNTERS = {
+    "count_pairline": lambda pts: count_pairline(pts, 1),
+    "incidence_stats": lambda pts: incidence_stats(pts, 2),
+    "rich_lines": lambda pts: rich_lines(pts, 2),
+    "incidence_pairs": lambda pts: incidence_pairs(pts, 2),
+    "tally_by_richness": lambda pts: tally_by_richness(pts, 2, 1),
+    "matching_count": lambda pts: matching_count(pts, 2, 1),
+    "matching_identity_check": lambda pts: matching_identity_check(pts, 2),
+    "mode_area": mode_area,
+    "find_shear": find_shear,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_COUNTERS))
+def test_a_float_coordinate_raises_type_error(name):
+    with pytest.raises(TypeError, match="coordinate 0.5 is not an int or a Fraction"):
+        FLOAT_COUNTERS[name]([(0, 0), (2, 0), (0.5, 1)])
 
 
 @pytest.mark.parametrize("family", ["collinear", "huge", "rational"])

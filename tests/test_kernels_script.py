@@ -25,6 +25,8 @@ def test_quick_runs_repeat_their_digests(tmp_path):
             "_row_runs short", "_row_runs long", "_run_count short", "_run_count long", "_class_sum",
             "scaling_experiment long", "_count wide grid", "_count tall grid", "_count square grid",
             "_count parallel lines", "_count transposed section", "_count square grid, no area", "cold start",
+            "sylvester_resultant_y", "_pencil_count", "_pair_count", "probe_matching_on_lines",
+            "join_matching_on_lines", "reconstruct_generators",
         }
         for kernel in report["kernels"].values():
             assert set(kernel) == {"inputs", "best_s", "median_s", "runs_s", "spread", "digest"}
